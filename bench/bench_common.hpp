@@ -87,6 +87,9 @@ namespace ds::bench {
 
 inline void print_header(const std::string& title, const std::string& paper_ref,
                          const util::BenchOptions& opt) {
+  // Line-buffered even when redirected to a file: a run killed mid-sweep
+  // (e.g. for memory) still leaves every row it printed.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("(max_procs=%d reps=%d topology=%s network=%s taper=%g%s; tune "

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
                    util::Table::fmt_mean_std(decoupled.mean(), decoupled.stddev()),
                    util::Table::fmt(ref_comm, 3), util::Table::fmt(dec_comm, 3),
                    util::Table::fmt(reference.mean() / decoupled.mean())});
-    std::printf("  procs=%d done\n", procs);
+    std::printf("  procs=%d done: reference %.3f s, decoupled %.3f s\n", procs,
+                reference.mean(), decoupled.mean());
   }
   bench::print_table(table);
   return 0;

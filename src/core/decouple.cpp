@@ -569,6 +569,12 @@ void Pipeline::launch(const RoleFn& role_fn) {
   // now over; consumers' operate() unblocks as the terms land. In a chain
   // this is what propagates termination stage to stage.
   for (Slot& slot : slots_) slot.stream->terminate();
+  // A consumer that left a stream early (operate_while on its own
+  // predicate) still owes the stream its termination protocol: absorb the
+  // pending terms — and forward tree terms to this rank's descendants — so
+  // none is left unmatched. Handlers are not invoked; they may capture the
+  // finished role function's locals.
+  for (Slot& slot : slots_) slot.stream->stream().absorb_termination(self);
 }
 
 }  // namespace ds::decouple

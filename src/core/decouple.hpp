@@ -179,6 +179,9 @@ class ScopedChannel {
 };
 
 /// A decoded stream element, valid only during the handler invocation.
+/// Only the bytes the producer really sent are defined: the whole payload
+/// of a send(), the record alone of a send_modeled(). Reading `payload`
+/// past that yields unspecified bytes (see stream::StreamElement).
 template <typename Record>
 struct Element {
   Record record{};                     ///< zeroed for synthetic elements
@@ -201,7 +204,8 @@ struct Element {
   }
 };
 
-/// An undecoded element for payload-only streams.
+/// An undecoded element for payload-only streams. As for Element, bytes
+/// past the real payload delivered for the element are unspecified.
 struct RawElement {
   const std::byte* data = nullptr;  ///< null for synthetic elements
   std::size_t bytes = 0;            ///< wire size
@@ -215,7 +219,8 @@ struct RawElement {
 /// Role-aware RAII wrapper around one attached Stream, owned by a Pipeline
 /// and obtained inside run() via Context::operator[]. Knows its Rank, so no
 /// call threads `self` through; producers terminate automatically when
-/// their role function returns.
+/// their role function returns, and a consumer that left the stream early
+/// then finishes its termination protocol (stream::Stream::absorb_termination).
 class StreamBase {
  public:
   StreamBase(const StreamBase&) = delete;

@@ -582,7 +582,6 @@ void Stream::terminate_impl(mpi::Rank& self) {
     // carrying this producer's per-consumer element counts (nonzero entries
     // only) so consumers can account for data still in flight.
     term_tx_.clear();
-    term_tx_.reserve(sent_per_consumer_.size());
     for (std::size_t c = 0; c < sent_per_consumer_.size(); ++c)
       if (sent_per_consumer_[c] > 0)
         term_tx_.push_back(TermEntry{c, sent_per_consumer_[c]});
@@ -599,7 +598,6 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // and the replay logs stay alive until every consumer has confirmed the
   // full count matrix.
   term_tx_.clear();
-  term_tx_.reserve(coalesce_->flows.size());
   for (std::size_t c = 0; c < coalesce_->flows.size(); ++c)
     if (coalesce_->flows[c].seq > 0)
       term_tx_.push_back(TermEntry{c, coalesce_->flows[c].seq});
@@ -692,9 +690,6 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   if (channel_->tree_termination()) {
     const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
     capacity = std::max(capacity, consumers * sizeof(TermEntry));
-    term_rx_.reserve(consumers);
-    term_tx_.reserve(consumers);
-    term_slice_.reserve(consumers);
   }
   if (resilient_) {
     const auto producers = static_cast<std::size_t>(channel_->producer_count());
@@ -723,7 +718,7 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
       announce_acked_.assign(consumers, 0);
     }
   }
-  element_buffer_.resize(capacity);
+  element_buffer_.allocate(capacity);
   if (cfg.max_inflight > 0) {
     // Effective credit batch, clamped for liveness: a blocked producer has
     // max_inflight un-acked elements spread over the consumers it routes to
@@ -1763,6 +1758,20 @@ bool Stream::poll_one(mpi::Rank& self) {
     if (req->status.tag == kTagData) return true;
   }
   return false;
+}
+
+void Stream::absorb_termination(mpi::Rank& self) {
+  if (my_consumer_ < 0 || exhausted()) return;
+  // The operator may capture state of a program that has already returned:
+  // only control flow may arrive now, and it never reaches the operator.
+  Operator op = std::move(operator_);
+  operator_ = [](const StreamElement&) {
+    throw std::logic_error(
+        "Stream::absorb_termination: data element arrived after the consumer "
+        "left the stream");
+  };
+  operate(self);
+  operator_ = std::move(op);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@
 // term to its tree descendants. Waiting on exhausted()/operate() completion
 // therefore requires every consumer of the channel to keep servicing the
 // stream; protocols where consumers leave early by design (e.g. the PIC
-// close-notification stream) must not wait on exhaustion — exactly as under
-// the seed's broadcast, where unread terms were simply abandoned.
+// close-notification stream) must not wait on exhaustion inside their
+// program. They finish the protocol afterwards with absorb_termination(),
+// which ds::decouple::Pipeline calls at teardown once the rank's own
+// producer streams are terminated.
 //
 // Transport coalescing (ChannelConfig::coalesce_budget): elements a producer
 // injects at the same virtual instant toward the same consumer are packed
@@ -113,7 +115,11 @@ namespace ds::stream {
 struct CoalesceState;
 
 /// A received stream element, valid only during the operator invocation.
-/// `data` is null for synthetic elements (modeled payloads).
+/// `data` is null for synthetic elements (modeled payloads). `bytes` is the
+/// element's wire size; only the bytes the producer actually sent are
+/// defined (all of them for a real element, the header for a header-only
+/// one). Bytes past that real payload are unspecified: the receive buffer
+/// is reused across elements and is never zero-filled.
 struct StreamElement {
   const std::byte* data = nullptr;
   std::size_t bytes = 0;
@@ -178,6 +184,15 @@ class Stream {
   /// consumed silently (they are control flow, not elements — matching
   /// operate_while accounting). Returns true iff a data element was consumed.
   bool poll_one(mpi::Rank& self);
+
+  /// Consumer: finish the termination protocol of a stream this rank left
+  /// early (operate_while returned on its own predicate, or polling
+  /// stopped). Blocks until the stream is exhausted, consuming and
+  /// forwarding terminations without invoking the operator, so no term is
+  /// left unmatched in the mailbox. A data element arriving here is a
+  /// protocol error and throws std::logic_error. No-op on a stream this
+  /// rank never consumed from, or one already exhausted.
+  void absorb_termination(mpi::Rank& self);
 
   /// Consumer (resilient streams with manual_durability): acknowledge that
   /// every element consumed so far has durable effects (e.g. the writer's
@@ -436,7 +451,25 @@ class Stream {
   std::uint64_t expected_data_ = 0;
   bool counts_known_ = false;  ///< tree mode: announced counts received
   std::vector<std::uint64_t> count_accum_;  ///< aggregator: per-consumer sums
-  std::vector<std::byte> element_buffer_;
+  /// Consumer receive buffer, sized once to the largest message the
+  /// channel can deliver. Allocated without initialisation: deliveries
+  /// write only the bytes that arrive, so only those pages become resident
+  /// (modeled elements carry a header at most, whatever their capacity).
+  class RecvBuffer {
+   public:
+    void allocate(std::size_t bytes) {
+      data_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+      size_ = bytes;
+    }
+    [[nodiscard]] std::byte* data() const noexcept { return data_.get(); }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+   private:
+    std::unique_ptr<std::byte[]> data_;
+    std::size_t size_ = 0;
+  };
+  RecvBuffer element_buffer_;
   /// Credit batching (flow-controlled streams): per-producer count of
   /// consumed-but-unacked elements, flushed every ack_every_-th element and
   /// whenever a term arrives or the stream exhausts.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/machine_helpers.hpp"
+#include "mpi/machine.hpp"
 #include "mpi/rank.hpp"
 
 namespace ds::decouple {
@@ -256,6 +257,84 @@ TEST(Pipeline, EarlyTerminateStaysIdempotentUnderRaii) {
         });
   });
   EXPECT_EQ(consumed, 1u);
+}
+
+TEST(Pipeline, ConsumersLeavingEarlyLeaveNoTermUnmatched) {
+  // The PIC close-notification shape: each worker leaves the Directed
+  // backflow as soon as it holds the note it expects — before the helpers'
+  // collective term, sent only once their program returns, can reach it.
+  // Teardown absorbs (and forwards) those terms, so a fault-free run ends
+  // with every pooled send matched.
+  mpi::Machine machine(testing::tiny_machine(12));
+  std::vector<int> notes(9, 0);
+  machine.run([&](Rank& self) {
+    StreamOptions back_options;
+    back_options.direction = Direction::ToWorkers;
+    back_options.mapping = Mapping::Directed;
+    auto pipeline = Pipeline::over(self, self.world()).with_stride(4);
+    auto outflow = pipeline.stream<Sample>();
+    auto backflow = pipeline.stream<Sample>(0, back_options);
+    pipeline.run(
+        [&](Context& ctx) {
+          const int w = ctx.worker_index();
+          auto& in = ctx[backflow];
+          int seen = 0;
+          in.on_receive([&](const Element<Sample>& el) {
+            EXPECT_EQ(el.record.source, w);
+            ++seen;
+          });
+          ctx[outflow].send(Sample{w, 0, 1.0});
+          in.operate_while([&] { return seen < 1; });
+          notes[static_cast<std::size_t>(w)] = seen;
+        },
+        [&](Context& ctx) {
+          auto& back = ctx[backflow];
+          ctx[outflow].on_receive([&](const Element<Sample>& el) {
+            back.send_to(el.record.source, el.record);
+          });
+          ctx[outflow].operate();
+        });
+  });
+  EXPECT_EQ(notes, std::vector<int>(9, 1));
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);
+}
+
+TEST(Pipeline, DataAfterAnEarlyLeaveIsRejectedAtTeardown) {
+  // Absorbing a left stream's termination never dispatches to the handler
+  // (it may capture the finished role function's locals): an element still
+  // in flight then is a protocol error.
+  int handled = 0;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    StreamOptions back_options;
+    back_options.direction = Direction::ToWorkers;
+    auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
+    auto outflow = pipeline.stream<Sample>();
+    auto backflow = pipeline.stream<Sample>(0, back_options);
+    const auto run = [&] {
+      pipeline.run(
+          [&](Context& ctx) {
+            auto& in = ctx[backflow];
+            in.on_receive([&](const Element<Sample>&) { ++handled; });
+            ctx[outflow].send(Sample{0, 0, 1.0});
+            in.operate_while([&] { return handled < 1; });
+          },
+          [&](Context& ctx) {
+            auto& back = ctx[backflow];
+            ctx[outflow].on_receive([&](const Element<Sample>& el) {
+              back.send(el.record);
+              back.send(el.record);  // one more than the worker waits for
+            });
+            ctx[outflow].operate();
+          });
+    };
+    if (self.world_rank() == 0) {
+      EXPECT_THROW(run(), std::logic_error);
+    } else {
+      run();
+    }
+  });
+  EXPECT_EQ(handled, 1);
 }
 
 TEST(Pipeline, DuplicateHelperRanksCollapseToOneHelper) {

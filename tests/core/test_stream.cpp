@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
-
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
@@ -376,6 +377,62 @@ TEST(Stream, InjectionChargesOverheadToProducer) {
     }
   });
   EXPECT_GE(producer_done, util::microseconds(1000));  // 100 x 10us
+}
+
+/// Resident set size of this process in bytes (Linux), or -1 when unknown.
+long long resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      long long kib = -1;
+      status >> kib;
+      return kib < 0 ? -1 : kib * 1024;
+    }
+    status.ignore(4096, '\n');
+  }
+  return -1;
+}
+
+TEST(Stream, ReceiveBuffersCommitOnlyDeliveredBytes) {
+  // Consumers size their receive buffer to the declared element capacity,
+  // but modeled elements deliver a header at most: the pages behind the
+  // rest of the capacity must never become resident.
+  if (resident_bytes() < 0) GTEST_SKIP() << "VmRSS not available";
+  constexpr std::size_t kCapacity = std::size_t{32} << 20;
+  constexpr int kConsumers = 4;
+  long long before = -1;
+  long long during = -1;
+  testing::run_program(testing::tiny_machine(2 * kConsumers), [&](Rank& self) {
+    const bool producer = self.world_rank() < kConsumers;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
+    std::uint64_t header = 0;
+    Stream s = Stream::attach(ch, mpi::Datatype::bytes(kCapacity),
+                              [&](const StreamElement& el) {
+                                if (el.data != nullptr)
+                                  std::memcpy(&header, el.data, sizeof header);
+                              });
+    if (self.world_rank() == 0) before = resident_bytes();
+    self.barrier(self.world());
+    if (producer) {
+      for (std::uint64_t i = 0; i < 3; ++i)
+        s.isend(self, SendBuf::header_only(i, kCapacity));
+      s.isend_synthetic(self);
+      s.terminate(self);
+    } else {
+      EXPECT_EQ(s.operate(self), 4u);
+      EXPECT_EQ(header, 2u);
+    }
+    // Every consumer's buffer is alive until after the second barrier.
+    self.barrier(self.world());
+    if (self.world_rank() == 0) during = resident_bytes();
+    self.barrier(self.world());
+  });
+  const long long committed =
+      static_cast<long long>(kConsumers) * static_cast<long long>(kCapacity);
+  EXPECT_LT(during - before, committed / 8)
+      << "resident growth " << (during - before) << " B against "
+      << committed << " B of declared receive capacity";
 }
 
 }  // namespace
