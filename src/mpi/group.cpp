@@ -5,6 +5,18 @@
 
 namespace ds::mpi {
 
+namespace {
+/// Position of `world_rank` in the ascending run members[begin, end), or -1.
+int search_run(const std::vector<int>& members, int begin, int end,
+               int world_rank) noexcept {
+  const auto last = members.begin() + end;
+  const auto it = std::lower_bound(members.begin() + begin, last, world_rank);
+  return it != last && *it == world_rank
+             ? static_cast<int>(it - members.begin())
+             : -1;
+}
+}  // namespace
+
 Group::Group(std::vector<int> world_ranks) : members_(std::move(world_ranks)) {
   // Membership must be unique; duplicate world ranks would make rank_of
   // ambiguous and break point-to-point addressing.
@@ -12,6 +24,10 @@ Group::Group(std::vector<int> world_ranks) : members_(std::move(world_ranks)) {
   std::sort(sorted.begin(), sorted.end());
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
     throw std::invalid_argument("Group: duplicate world rank");
+  const auto split = std::is_sorted_until(members_.begin(), members_.end());
+  run_end_ = std::is_sorted(split, members_.end())
+                 ? static_cast<int>(split - members_.begin())
+                 : kUnsorted;
 }
 
 Group Group::world(int n) {
@@ -25,9 +41,13 @@ int Group::world_rank(int r) const {
 }
 
 int Group::rank_of(int world_rank) const noexcept {
-  for (std::size_t i = 0; i < members_.size(); ++i)
-    if (members_[i] == world_rank) return static_cast<int>(i);
-  return -1;
+  if (run_end_ == kUnsorted) {
+    for (std::size_t i = 0; i < members_.size(); ++i)
+      if (members_[i] == world_rank) return static_cast<int>(i);
+    return -1;
+  }
+  const int r = search_run(members_, 0, run_end_, world_rank);
+  return r >= 0 ? r : search_run(members_, run_end_, size(), world_rank);
 }
 
 Group Group::include(const std::vector<int>& ranks) const {

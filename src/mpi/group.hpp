@@ -3,6 +3,15 @@
 // Decoupling (paper Sec. II-C) starts by splitting COMM_WORLD's processes
 // into disjoint groups, one per operation subset; Group is the value type
 // those splits produce.
+//
+// rank_of sits on every point-to-point call (membership check), so it must
+// not scan the members. Every group the runtime builds is at most two
+// ascending runs of world ranks — the world group and colour splits are
+// one run, a channel's "producers, then consumers" list is two — so the
+// group records where its first run ends and binary-searches each run. A
+// group of more runs (an `include` with an arbitrary permutation) falls
+// back to the linear scan. One int per group, no side tables: the runtime
+// holds thousands of per-rank channel groups at once.
 #pragma once
 
 #include <vector>
@@ -24,6 +33,7 @@ class Group {
   [[nodiscard]] int world_rank(int r) const;
 
   /// Rank of `world_rank` in this group, or -1 if not a member.
+  /// O(log size) for groups of at most two ascending runs, else O(size).
   [[nodiscard]] int rank_of(int world_rank) const noexcept;
   [[nodiscard]] bool contains(int world_rank) const noexcept {
     return rank_of(world_rank) >= 0;
@@ -50,7 +60,12 @@ class Group {
   }
 
  private:
+  static constexpr int kUnsorted = -1;
+
   std::vector<int> members_;  // position (group rank) -> world rank
+  // End of the first ascending run of members_; the rest is one ascending
+  // run too, or the group is kUnsorted.
+  int run_end_ = 0;
 };
 
 }  // namespace ds::mpi

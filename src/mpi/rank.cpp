@@ -7,8 +7,9 @@
 namespace ds::mpi {
 
 namespace {
-[[nodiscard]] int require_member(const Comm& comm, int world_rank,
-                                 const char* who) {
+/// Throws unless the calling rank belongs to `comm`; returns its rank there
+/// for callers that address by it (pure membership checks ignore it).
+int require_member(const Comm& comm, int world_rank, const char* who) {
   const int r = comm.rank_of_world(world_rank);
   if (r < 0)
     throw std::logic_error(std::string(who) + ": calling rank is not in the communicator");

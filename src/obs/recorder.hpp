@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,7 +134,9 @@ class Recorder {
   /// Pointer-identity fast path for literal labels: one entry per distinct
   /// call-site string, scanned linearly (a handful of entries).
   std::vector<std::pair<const char*, std::uint32_t>> ptr_ids_;
-  std::vector<RawEvent> events_;
+  /// Append-only and chunked: growth never copies the log into a fresh
+  /// doubled buffer, whose pages the kernel would fault in again.
+  std::deque<RawEvent> events_;
   std::vector<Instant> instants_;
   std::vector<std::vector<Open>> open_;  ///< per-rank open stacks
   std::uint64_t dropped_ends_ = 0;

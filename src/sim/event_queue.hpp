@@ -1,14 +1,16 @@
-// Deterministic event queue: a binary min-heap ordered by (time, sequence).
+// Deterministic event queue: a 4-ary min-heap ordered by (time, sequence).
 //
 // The sequence number makes the ordering a total order — two events at the
 // same virtual instant fire in the order they were scheduled, on every
 // platform, every run. std::priority_queue is avoided because its top() is
 // const and would force copying the callback payloads out.
 //
-// Hot-path notes: actions are sim::Callback (small-buffer, no heap per
-// event) and both sifts are hole-based — the displaced event is held in a
-// local while parents/children shift into the hole, one move per level
-// instead of the three a std::swap chain costs.
+// Hot-path notes: the heap holds only 24-byte keys {time, seq, slot}; each
+// event's Callback sits in a slot array (recycled through a free list) and
+// is relocated exactly twice — into its slot on push, out of it on pop —
+// however deep the heap is. Sifts are hole-based: the displaced key is held
+// in a local while parents/children shift into the hole, one key move per
+// level. Four children per node halve the depth of a binary heap.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +40,19 @@ class EventQueue {
   [[nodiscard]] util::SimTime next_time() const noexcept;
 
  private:
-  [[nodiscard]] static bool before(const Event& a, const Event& b) noexcept {
+  struct Key {
+    util::SimTime time;
+    std::uint64_t seq;
+    std::uint32_t slot;  // index into slots_
+  };
+
+  [[nodiscard]] static bool before(const Key& a, const Key& b) noexcept {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
 
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Callback> slots_;      // pending actions, by Key::slot
+  std::vector<std::uint32_t> free_;  // slots_ entries not in the heap
   std::uint64_t next_seq_ = 0;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace ds::mpi {
 namespace {
 
@@ -62,6 +65,62 @@ TEST(Group, FilterByPosition) {
 TEST(Group, Equality) {
   EXPECT_EQ(Group({1, 2}), Group({1, 2}));
   EXPECT_FALSE(Group({1, 2}) == Group({2, 1}));
+}
+
+/// rank_of must agree with a linear scan for every world rank in
+/// [-1, max + 2], members and non-members alike.
+void expect_rank_of_matches_scan(const Group& g) {
+  const std::vector<int>& m = g.members();
+  const int max = m.empty() ? 0 : *std::max_element(m.begin(), m.end());
+  for (int w = -1; w <= max + 2; ++w) {
+    const auto it = std::find(m.begin(), m.end(), w);
+    const int expected =
+        it == m.end() ? -1 : static_cast<int>(it - m.begin());
+    EXPECT_EQ(g.rank_of(w), expected) << "world rank " << w;
+    EXPECT_EQ(g.contains(w), expected >= 0) << "world rank " << w;
+  }
+}
+
+TEST(Group, RankOfMatchesScanOnWorld) {
+  expect_rank_of_matches_scan(Group::world(1));
+  expect_rank_of_matches_scan(Group::world(2048));
+}
+
+TEST(Group, RankOfMatchesScanOnAscendingSplit) {
+  // A colour split of the world: every third rank, still ascending.
+  const Group g =
+      Group::world(300).filter_by_position([](int r) { return r % 3 == 1; });
+  ASSERT_EQ(g.size(), 100);
+  expect_rank_of_matches_scan(g);
+}
+
+TEST(Group, RankOfMatchesScanOnChannelShapedGroup) {
+  // Channel member list: non-helpers ascending, then helpers ascending, the
+  // helpers interleaved with the non-helpers in world order.
+  std::vector<int> members;
+  for (int w = 0; w < 64; ++w)
+    if (w % 4 != 3) members.push_back(w);
+  for (int w = 3; w < 64; w += 4) members.push_back(w);
+  expect_rank_of_matches_scan(Group(members));
+  // Two runs whose second run lies wholly below the first.
+  expect_rank_of_matches_scan(Group({40, 41, 42, 0, 1, 2, 3}));
+}
+
+TEST(Group, RankOfMatchesScanOnPermutation) {
+  // More than two ascending runs: the lookup must fall back to a scan.
+  const Group world = Group::world(40);
+  std::vector<int> perm;
+  for (int i = 0; i < 40; ++i) perm.push_back((i * 7) % 40);
+  expect_rank_of_matches_scan(world.include(perm));
+  expect_rank_of_matches_scan(Group({5, 1, 4, 2, 3}));
+  expect_rank_of_matches_scan(Group({3, 2, 1, 0}));
+}
+
+TEST(Group, RankOfMatchesScanOnSingleAndEmpty) {
+  expect_rank_of_matches_scan(Group({17}));
+  expect_rank_of_matches_scan(Group());
+  expect_rank_of_matches_scan(Group(std::vector<int>{}));
+  EXPECT_EQ(Group().rank_of(0), -1);
 }
 
 }  // namespace

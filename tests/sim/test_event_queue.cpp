@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -90,6 +94,116 @@ TEST(EventQueue, StressRandomOrderIsSorted) {
     EXPECT_GE(e.time, last);
     last = e.time;
   }
+}
+
+TEST(EventQueue, RandomInterleavingMatchesTimeSeqReference) {
+  // Few distinct timestamps so most events tie; the queue must still fire
+  // them in exactly (time, seq) order while pushes and pops interleave.
+  EventQueue q;
+  util::Rng rng(17);
+  std::vector<std::pair<util::SimTime, std::uint64_t>> pending;  // reference
+  std::vector<std::uint64_t> fired;  // seq each action was scheduled under
+  std::uint64_t pushes = 0;
+  util::SimTime now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (q.empty() || rng.uniform_int(0, 2) > 0) {
+      const util::SimTime t = now + rng.uniform_int(0, 3);
+      const std::uint64_t mine = pushes++;
+      ASSERT_EQ(q.push(t, [&fired, mine] { fired.push_back(mine); }), mine);
+      pending.emplace_back(t, mine);
+    } else {
+      const auto ref = std::min_element(pending.begin(), pending.end());
+      ASSERT_EQ(q.next_time(), ref->first);
+      Event e = q.pop();
+      ASSERT_EQ(e.time, ref->first);
+      ASSERT_EQ(e.seq, ref->second);
+      e.action();  // the action travelled with its own key
+      ASSERT_EQ(fired.back(), ref->second);
+      now = e.time;
+      pending.erase(ref);
+    }
+    ASSERT_EQ(q.size(), pending.size());
+  }
+  std::sort(pending.begin(), pending.end());
+  for (const auto& [t, seq] : pending) {
+    Event e = q.pop();
+    EXPECT_EQ(e.time, t);
+    EXPECT_EQ(e.seq, seq);
+    e.action();
+    EXPECT_EQ(fired.back(), seq);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, OversizedCallbackTakesHeapPathAndFires) {
+  std::array<std::uint64_t, 16> big{};  // 128 bytes: past the inline buffer
+  static_assert(sizeof(big) > Callback::kInlineBytes);
+  big[0] = 1;
+  big[15] = 40;
+  std::vector<std::uint64_t> got;
+  EventQueue q;
+  q.push(3, [big, &got] { got.push_back(big[15]); });
+  q.push(1, [&got] { got.push_back(0); });
+  q.push(2, [big, &got] { got.push_back(big[0]); });
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 1, 40}));
+}
+
+/// Counts destructions of live instances; moved-from shells count nothing,
+/// so `*destroyed` is exactly the number of callables destroyed.
+struct DestroyCounter {
+  int* destroyed;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  void operator()() const {}
+};
+
+TEST(EventQueue, PendingCallbacksDestroyedExactlyOnceWithQueue) {
+  int destroyed = 0;
+  {
+    EventQueue q;
+    for (int i = 0; i < 40; ++i) q.push(i % 7, DestroyCounter(&destroyed));
+    for (int i = 0; i < 15; ++i) (void)q.pop();  // popped events die here
+    EXPECT_EQ(destroyed, 15);
+    for (int i = 0; i < 5; ++i) q.push(i, DestroyCounter(&destroyed));
+    EXPECT_EQ(destroyed, 15);  // reused slots hold no stale callable
+    EXPECT_EQ(q.size(), 30u);
+  }
+  EXPECT_EQ(destroyed, 45);
+}
+
+TEST(EventQueue, SlotReuseKeepsSizeEmptyAndNextTime) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 8; ++i)
+      q.push(100 - i, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(q.size(), 8u);
+    EXPECT_EQ(q.next_time(), 93);
+    for (int i = 7; i >= 4; --i) q.pop().action();
+    EXPECT_EQ(q.size(), 4u);
+    EXPECT_EQ(q.next_time(), 97);
+    // These pushes reuse the freed slots; the time-50 event fires first.
+    q.push(50, [&order] { order.push_back(-1); });
+    q.push(98, [&order] { order.push_back(-2); });
+    EXPECT_EQ(q.size(), 6u);
+    EXPECT_EQ(q.next_time(), 50);
+    while (!q.empty()) q.pop().action();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.next_time(), util::kTimeInfinity);
+  }
+  const std::vector<int> one_round{7, 6, 5, 4, -1, 3, 2, -2, 1, 0};
+  ASSERT_EQ(order.size(), 3 * one_round.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    EXPECT_EQ(order[i], one_round[i % one_round.size()]) << "event " << i;
 }
 
 }  // namespace
