@@ -216,8 +216,9 @@ void run_decoupled_program(Rank& self, const PicConfig& cfg, const Domain& domai
   decouple::StreamOptions out_options;  // Block mapping toward the helpers
   // Both streams ride the default coalesced transport. Outbound particle
   // batches are element-sized chunks (typically far above the frame budget,
-  // so they bypass coalescing), but end-of-step markers and small tail
-  // chunks pack into frames with whatever was injected at the same instant.
+  // so each travels alone in its own frame), but end-of-step markers and
+  // small tail chunks pack into frames with whatever was injected at the
+  // same instant.
   // The closure protocol's latency is untouched: the same-instant backstop
   // flushes the moment the worker blocks waiting on its closes.
   decouple::StreamOptions back_options;

@@ -11,6 +11,10 @@
 //                 peer, preserves per-producer element order at the consumer.
 //  * RoundRobin — producer p spreads elements over all consumers; spreads
 //                 load, order preserved only per (producer, consumer) pair.
+//  * Directed   — the producer names the consumer of each element
+//                 (Stream::isend_to; plain isend takes the Block peer);
+//                 order preserved per (producer, consumer) pair, and
+//                 termination aggregated like RoundRobin.
 //
 // This is the implementation layer: application code normally goes through
 // the typed RAII facade in core/decouple.hpp (decouple::Pipeline), which
@@ -72,22 +76,18 @@ struct ChannelConfig {
   /// Default credit batch when ack_interval is 0: every 4th element acks.
   static constexpr std::uint32_t kDefaultAckInterval = 4;
 
-  /// Transport-level element coalescing: a producer packs same-destination
-  /// elements injected at the same virtual instant into one framed fabric
-  /// message of up to `coalesce_budget` wire bytes (length-prefixed
-  /// sub-records). Frames flush when the budget or `coalesce_max_elements`
-  /// fills, when the producer terminates or blocks on a credit, and — via a
-  /// same-instant backstop event — the moment the producing fiber yields the
-  /// CPU, so elements are never delayed in virtual time beyond the instant
-  /// they were injected at. Elements too large for the budget bypass
-  /// coalescing and travel as before. 0 disables coalescing entirely
-  /// (per-element messages, the paper's fine-grained default).
+  /// Transport-level element coalescing: every element travels in a framed
+  /// fabric message (length-prefixed sub-records), and a producer packs
+  /// same-destination elements injected at the same virtual instant into
+  /// one frame of up to `coalesce_budget` wire bytes. Frames flush when the
+  /// budget or the 128-element cap fills, when the producer terminates or
+  /// blocks on a credit, and — via a same-instant backstop event — the
+  /// moment the producing fiber yields the CPU, so elements are never
+  /// delayed in virtual time beyond the instant they were injected at. An
+  /// element too large for the budget is framed alone and posted at once.
+  /// 0 means one element per frame: one fabric message per element, the
+  /// paper's fine-grained default.
   std::uint32_t coalesce_budget = kDefaultCoalesceBudget;
-
-  /// Element-count cap per frame (the timeout-equivalent trigger: a frame
-  /// never holds more than this many elements regardless of byte budget).
-  /// 0 picks kDefaultCoalesceMaxElements.
-  std::uint32_t coalesce_max_elements = 0;
 
   /// Self-tuning flow control: when true, the stream drives the coalesce
   /// budget online from the producer's flush-occupancy/inter-arrival
@@ -138,8 +138,6 @@ struct ChannelConfig {
   /// Default frame budget in wire bytes (fits well under the default eager
   /// threshold; ~28 64-byte elements per frame).
   static constexpr std::uint32_t kDefaultCoalesceBudget = 2048;
-  /// Default per-frame element cap when coalesce_max_elements is 0.
-  static constexpr std::uint32_t kDefaultCoalesceMaxElements = 128;
   /// Self-tuning may grow a frame budget to at most this multiple of its
   /// configured value; consumers size their receive buffers from the same
   /// bound, so both sides agree without coordination.

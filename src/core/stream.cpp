@@ -73,6 +73,8 @@ struct SyncEntry {
 constexpr std::size_t kFrameOverhead = sizeof(FrameHeader);
 constexpr std::size_t kSubOverhead = sizeof(SubHeader);
 constexpr std::size_t kEpochOverhead = sizeof(EpochHeader);
+/// A frame never holds more elements than this, whatever its byte budget.
+constexpr std::uint32_t kMaxFrameElements = 128;
 
 }  // namespace
 
@@ -92,7 +94,6 @@ struct CoalesceState {
   std::uint32_t budget = 0;        ///< current effective frame budget (wire)
   std::uint32_t budget_cap = 0;    ///< growth ceiling (kCoalesceGrowthCap x)
   std::uint32_t budget_floor = 0;  ///< shrink floor
-  std::uint32_t max_elements = 0;  ///< per-frame element cap
   bool autotune = false;
   FlowController controller;
 
@@ -215,8 +216,6 @@ std::uint32_t Stream::max_inflight_now() const noexcept {
              : (channel_ != nullptr ? channel_->config().max_inflight : 0);
 }
 
-std::uint32_t Stream::window_now() const noexcept { return max_inflight_now(); }
-
 std::uint64_t Stream::replayed_elements() const noexcept {
   return coalesce_ ? coalesce_->replayed_elements : 0;
 }
@@ -239,7 +238,7 @@ std::uint32_t Stream::rebalances() const noexcept {
 
 void Stream::ensure_producer_state(mpi::Rank& self) {
   const ChannelConfig& cfg = channel_->config();
-  if (coalesce_ || (cfg.coalesce_budget == 0 && !cfg.resilient())) return;
+  if (coalesce_) return;
   auto st = std::make_shared<CoalesceState>();
   st->machine = &self.machine();
   st->context = context_;
@@ -249,20 +248,12 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   st->resilient = cfg.resilient();
   st->frame_overhead =
       kFrameOverhead + (st->resilient ? kEpochOverhead : 0);
-  // Resilience with coalescing off still frames every element (alone): the
-  // frame is what carries the flow/sequence stamp and what the replay log
-  // retains. A budget of exactly the framing overhead admits one forced
-  // element per frame and packs nothing.
-  const std::uint32_t base_budget =
-      cfg.coalesce_budget > 0
-          ? cfg.coalesce_budget
-          : static_cast<std::uint32_t>(st->frame_overhead + kSubOverhead);
-  st->budget = base_budget;
-  st->budget_cap = base_budget * ChannelConfig::kCoalesceGrowthCap;
-  st->budget_floor = std::min(base_budget, FlowController::Config{}.min_budget);
-  st->max_elements = cfg.coalesce_max_elements == 0
-                         ? ChannelConfig::kDefaultCoalesceMaxElements
-                         : cfg.coalesce_max_elements;
+  // A budget of 0 fits no element, so every element travels alone in its
+  // own frame (see coalesce_element).
+  st->budget = cfg.coalesce_budget;
+  st->budget_cap = cfg.coalesce_budget * ChannelConfig::kCoalesceGrowthCap;
+  st->budget_floor =
+      std::min(cfg.coalesce_budget, FlowController::Config{}.min_budget);
   st->autotune = cfg.flow_autotune && cfg.coalesce_budget > 0;
   FlowController::Config fc;
   fc.min_budget = st->budget_floor;
@@ -303,24 +294,18 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   coalesce_ = std::move(st);
 }
 
-bool Stream::coalesce_element(mpi::Rank& self, int consumer,
+void Stream::coalesce_element(mpi::Rank& self, int consumer,
                               mpi::SendBuf element) {
-  if (!coalesce_) return false;
   CoalesceState& st = *coalesce_;
   const std::size_t el_wire = element.on_wire();
-  // Oversized for even an empty frame: bypass (after ordering-preserving
-  // flush of anything already pending toward this consumer, done by caller).
-  // Resilient flows never bypass — every element needs its sequence stamp —
-  // so an oversized element is force-framed alone (flushed below by the
-  // budget check before the next element can join it).
-  if (!st.resilient &&
-      st.frame_overhead + kSubOverhead + el_wire > st.budget)
-    return false;
-
+  // An element too large for even an empty frame travels alone. The budget
+  // check below flushes the frame pending toward this consumer first, so
+  // the lone frame never overtakes it.
+  const bool alone = st.frame_overhead + kSubOverhead + el_wire > st.budget;
   auto& p = st.pending[static_cast<std::size_t>(consumer)];
   if (p.elements > 0 &&
       (p.wire + kSubOverhead + el_wire > st.budget ||
-       p.elements >= st.max_elements)) {
+       p.elements >= kMaxFrameElements)) {
     flush_frame(self, consumer,
                 static_cast<std::uint8_t>(FlushTrigger::Budget));
   }
@@ -345,18 +330,21 @@ bool Stream::coalesce_element(mpi::Rank& self, int consumer,
     // wait, return), the engine runs this event at the *current* virtual
     // time and flushes whatever the burst left behind — coalescing merges
     // only same-instant sends and never delays an element in virtual time.
-    self.machine().engine().schedule(
-        self.machine().engine().now(),
-        [st = coalesce_, consumer, epoch = p.epoch] {
-          auto& slot = st->pending[static_cast<std::size_t>(consumer)];
-          if (slot.epoch != epoch || slot.elements == 0) return;
-          // Event context: no fiber to charge — carry the CPU cost as debt,
-          // settled on the producer's next fiber-side flush.
-          st->debt += st->inject_overhead * slot.elements + st->send_overhead;
-          const std::uint32_t n = slot.elements;
-          const std::uint64_t wire = st->post_frame(consumer);
-          st->retune(FlushTrigger::Idle, n, wire);
-        });
+    // A lone element is posted below and needs none.
+    if (!alone)
+      self.machine().engine().schedule(
+          self.machine().engine().now(),
+          [st = coalesce_, consumer, epoch = p.epoch] {
+            auto& slot = st->pending[static_cast<std::size_t>(consumer)];
+            if (slot.epoch != epoch || slot.elements == 0) return;
+            // Event context: no fiber to charge — carry the CPU cost as
+            // debt, settled on the producer's next fiber-side flush.
+            st->debt +=
+                st->inject_overhead * slot.elements + st->send_overhead;
+            const std::uint32_t n = slot.elements;
+            const std::uint64_t wire = st->post_frame(consumer);
+            st->retune(FlushTrigger::Idle, n, wire);
+          });
   }
   const SubHeader sub{static_cast<std::uint32_t>(el_wire),
                       static_cast<std::uint32_t>(element.bytes)};
@@ -377,7 +365,9 @@ bool Stream::coalesce_element(mpi::Rank& self, int consumer,
       flush_frame(self, consumer,
                   static_cast<std::uint8_t>(FlushTrigger::Epoch));
   }
-  return true;
+  if (alone)
+    flush_frame(self, consumer,
+                static_cast<std::uint8_t>(FlushTrigger::Budget));
 }
 
 void Stream::flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger) {
@@ -416,8 +406,8 @@ void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
 }
 
 void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
-  const int p = channel_->my_producer_index(self);
-  if (p < 0) throw std::logic_error("Stream::isend_to: caller is not a producer");
+  if (channel_->my_producer_index(self) < 0)
+    throw std::logic_error("Stream::isend_to: caller is not a producer");
   if (consumer < 0 || consumer >= channel_->consumer_count())
     throw std::out_of_range("Stream::isend_to: consumer index out of range");
   if (element.on_wire() > element_size_)
@@ -426,7 +416,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
     throw std::logic_error("Stream::isend: stream already terminated");
   ensure_producer_state(self);
 
-  if (coalesce_ && coalesce_->resilient) {
+  if (coalesce_->resilient) {
     // Truncate replay logs with any durability progress first (smaller
     // replays), then react to crashes, rejoins, and membership changes
     // observed since the last send.
@@ -440,7 +430,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   // only delivered elements can come back as credits. (Failover can return
   // a handful of duplicate credits, so the outstanding count is computed
   // underflow-safe.)
-  const std::uint32_t window = window_now();
+  const std::uint32_t window = max_inflight_now();
   if (window > 0 && sent_ > acks_seen_ && sent_ - acks_seen_ >= window) {
     flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Credit));
     while (sent_ > acks_seen_ && sent_ - acks_seen_ >= window)
@@ -452,28 +442,13 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   // channels derive their counted terms from the per-flow sequence spaces
   // instead (counts stay logical — the exhaustion matrix is per flow, not
   // per physical destination).
-  if (channel_->tree_termination() && !(coalesce_ && coalesce_->resilient)) {
+  if (channel_->tree_termination() && !coalesce_->resilient) {
     if (sent_per_consumer_.empty())
       sent_per_consumer_.assign(
           static_cast<std::size_t>(channel_->consumer_count()), 0);
     ++sent_per_consumer_[static_cast<std::size_t>(consumer)];
   }
-
-  if (coalesce_element(self, consumer, element)) return;
-
-  // Per-element path (coalescing off, or the element exceeds any frame):
-  // the per-element library overhead `o` (Eq. 4) plus the transport's own
-  // o_s, charged as one advance. An oversized element must not overtake a
-  // frame already pending toward the same consumer.
-  if (coalesce_)
-    flush_frame(self, consumer,
-                static_cast<std::uint8_t>(FlushTrigger::Budget));
-  auto& machine = self.machine();
-  self.process().advance(channel_->config().inject_overhead +
-                         machine.config().network.send_overhead);
-  machine.post_send(context_, p, self.world_rank(),
-                    channel_->comm().world_rank(channel_->consumer_rank(consumer)),
-                    kTagData, element);
+  coalesce_element(self, consumer, element);
 }
 
 void Stream::terminate(mpi::Rank& self) {
@@ -495,7 +470,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // A producer that never sent still needs its resilience state here: its
   // term must route to the failover target, not to a dead consumer.
   ensure_producer_state(self);
-  const bool resilient = coalesce_ && coalesce_->resilient;
+  const bool resilient = coalesce_->resilient;
   if (resilient) {
     // Repair routing before the counts go out. Under tree termination the
     // release-barrier wait below keeps servicing these until the whole
@@ -511,7 +486,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // Partial frames leave before the term so counts and order stay intact;
   // settle any backstop debt even when nothing is pending.
   flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Term));
-  if (coalesce_ && coalesce_->debt > 0) {
+  if (coalesce_->debt > 0) {
     self.process().advance(coalesce_->debt);
     coalesce_->debt = 0;
   }
@@ -568,12 +543,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
       if (!pending) break;
       if (resilience::effective_aggregator(*channel_, machine) < 0)
         break;  // every consumer is gone — the tail is fail-stop loss
-      machine.add_probe_waiter(self.world_rank(), self.process().id());
-      machine.add_failure_waiter(self.process().id());
-      self.process().set_state_note(blocked_note("stream durability wait"));
-      self.process().suspend();
-      machine.ensure_alive(self.world_rank());
-      self.process().set_state_note({});
+      await_arrival_or_failure(self, "stream durability wait");
     }
     return;
   }
@@ -635,13 +605,8 @@ void Stream::terminate_impl(mpi::Rank& self) {
       self.wait(req);
       break;
     }
-    machine.add_probe_waiter(self.world_rank(), self.process().id());
-    machine.add_failure_waiter(self.process().id());
-    self.process().set_state_note(blocked_note("stream release wait"));
-    self.process().suspend();
-    machine.ensure_alive(self.world_rank());
+    await_arrival_or_failure(self, "stream release wait");
   }
-  self.process().set_state_note({});
 }
 
 const char* Stream::blocked_note(const char* what) {
@@ -670,23 +635,17 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   resilient_ = cfg.resilient();
   manual_durability_ = cfg.manual_durability;
   checkpoint_interval_ = cfg.checkpoint_interval;
-  // Tree-mode terms carry up to one count entry per consumer; coalesced
-  // frames carry up to the (possibly self-tuned) budget. Size the receive
-  // buffer for the largest of those, the bare element, or a single-element
-  // frame — the growth factor applies only when self-tuning can actually
-  // grow the producer's budget. Resilient frames carry the epoch header on
-  // top, and arrive even with coalescing off (forced single-element frames).
+  // Tree-mode terms carry up to one count entry per consumer; frames carry
+  // up to the (possibly self-tuned) budget, or one element alone. Size the
+  // receive buffer for the largest of those. Resilient frames carry the
+  // epoch header on top.
   const std::size_t frame_overhead =
       kFrameOverhead + (resilient_ ? kEpochOverhead : 0);
-  std::size_t capacity = element_size_;
-  if (cfg.coalesce_budget > 0 || resilient_) {
-    const std::size_t growth =
-        cfg.flow_autotune && cfg.coalesce_budget > 0
-            ? ChannelConfig::kCoalesceGrowthCap
-            : 1;
-    capacity = std::max(capacity + frame_overhead + kSubOverhead,
-                        static_cast<std::size_t>(cfg.coalesce_budget) * growth);
-  }
+  const std::size_t growth =
+      cfg.flow_autotune ? ChannelConfig::kCoalesceGrowthCap : 1;
+  std::size_t capacity =
+      std::max(element_size_ + frame_overhead + kSubOverhead,
+               static_cast<std::size_t>(cfg.coalesce_budget) * growth);
   if (channel_->tree_termination()) {
     const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
     capacity = std::max(capacity, consumers * sizeof(TermEntry));
@@ -840,7 +799,7 @@ void Stream::await_credit(mpi::Rank& self) {
                                       mpi::kAnySource, kTagAck,
                                       mpi::RecvBuf::of(&granted, 1), {},
                                       /*fused_wake=*/true);
-  if (coalesce_ && coalesce_->resilient) {
+  if (coalesce_->resilient) {
     // A credit may never come if the consumer holding it just crashed: wait
     // interruptibly, re-evaluating failover on every crash notification.
     // Rebinding replays the lost elements to the adopting consumer, whose
@@ -1480,9 +1439,7 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   std::memcpy(&sub, element_buffer_.data() + frame_cursor_, sizeof sub);
   const std::size_t data_at = frame_cursor_ + kSubOverhead;
   // The element is consumed once unpacked — cursor and counts move before
-  // the operator runs, so a throwing operator leaves the frame walkable
-  // (matching the per-message path, where the message left the mailbox
-  // before the operator saw it).
+  // the operator runs, so a throwing operator leaves the frame walkable.
   const std::uint64_t seq = frame_seq0_ + (frame_elements_ - frame_left_);
   frame_cursor_ += kSubOverhead + sub.data;
   --frame_left_;
@@ -1519,6 +1476,11 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
 }
 
 void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
+  if (status.tag == kTagFrame) {
+    // Its elements drain from the receive buffer, one per receive step.
+    begin_frame(status);
+    return;
+  }
   if (status.tag == kTagTerm) {
     if (tree_v2_)
       handle_counted_term(self, status);
@@ -1547,7 +1509,7 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
   if (status.tag == kTagHandoff) {
     // Control flow, not an element: adopt the flow's durable point.
     if (resilient_ && !status.synthetic &&
-        status.bytes >= sizeof(FlowHandoff) && !element_buffer_.empty()) {
+        status.bytes >= sizeof(FlowHandoff)) {
       FlowHandoff handoff;
       std::memcpy(&handoff, element_buffer_.data(), sizeof handoff);
       dedup_.advance_to(status.source, static_cast<int>(handoff.flow),
@@ -1601,19 +1563,7 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     if (tree_v2_) release_seen_ = true;
     return;
   }
-  if (status.tag == kTagSync) {
-    handle_sync(self, status);
-    return;
-  }
-  ++processed_data_;
-  if (operator_) {
-    StreamElement el{status.synthetic || element_buffer_.empty()
-                         ? nullptr
-                         : element_buffer_.data(),
-                     status.bytes, status.source};
-    operator_(el);
-  }
-  account_data_element(self, status.source);
+  if (status.tag == kTagSync) handle_sync(self, status);
 }
 
 std::uint64_t Stream::operate(mpi::Rank& self) {
@@ -1638,126 +1588,80 @@ std::uint64_t Stream::operate_loop(mpi::Rank& self,
   // drained frame is consumed to completion before the mailbox is touched
   // again (frames preserve per-(context,src) order; arrival interleaving
   // across sources happens at frame granularity).
-  auto& machine = self.machine();
-  if (!resilient_) {
-    while (true) {
-      if (exhausted() || !keep_going()) break;
-      if (frame_left_ > 0) {
-        if (consume_frame_element(self)) ++processed;
-        continue;
-      }
-      auto req = machine.post_recv(
-          context_, self.world_rank(), mpi::kAnySource, mpi::kAnyTag,
-          element_buffer_.empty()
-              ? mpi::RecvBuf::discard(element_size_)
-              : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()},
-          {}, /*fused_wake=*/true);
-      self.wait(req);
-      if (req->status.tag == kTagFrame) {
-        // One aggregate recv-overhead advance was fused into this wake-up;
-        // the frame's elements now drain with no further machine traffic.
-        begin_frame(req->status);
-        continue;
-      }
-      handle(self, req->status);
-      if (req->status.tag == kTagData) ++processed;
-    }
-    return processed;
-  }
-  // Resilient loop: never park in a plain blocking receive — a crash,
+  //
+  // A resilient consumer never parks in a plain blocking receive — a crash,
   // rejoin, or elastic membership change may be exactly what unblocks
   // termination (adoption raising the expected term count, a takeover of
-  // the aggregator role, a flow handed back). Idle waits therefore sleep on
-  // probe + failure waiters, waking on the next arrival *or* membership
+  // the aggregator role, a flow handed back). Its idle waits therefore sleep
+  // on probe + failure waiters, waking on the next arrival *or* membership
   // event, and every iteration re-reacts before re-judging exhaustion.
   while (true) {
-    check_consumer_failover(self);
-    if (tree_v2_) {
-      progress_termination(self);
-      maybe_ack_announce(self);
-    }
+    if (resilient_) service_recovery(self);
     if (exhausted() || !keep_going()) {
       // Producers block in their termination protocol until their replay
       // logs are acknowledged durable. Auto-durability acks normally flow
       // from the data path, but when a *term* (or a membership event) is
       // what flips exhaustion, nothing after it would ack — flush here so
       // the producers' durability wait always terminates.
-      if (!manual_durability_) flush_durable_acks(self);
+      if (resilient_ && !manual_durability_) flush_durable_acks(self);
       break;
     }
-    if (frame_left_ > 0) {
-      if (consume_frame_element(self)) ++processed;
-      continue;
-    }
-    mpi::Status status;
-    if (!machine.match_probe(context_, self.world_rank(), mpi::kAnySource,
-                             mpi::kAnyTag, &status)) {
-      machine.add_probe_waiter(self.world_rank(), self.process().id());
-      machine.add_failure_waiter(self.process().id());
-      self.process().set_state_note(blocked_note("stream poll"));
-      self.process().suspend();
-      machine.ensure_alive(self.world_rank());
-      self.process().set_state_note({});
-      continue;
-    }
-    // After a successful probe the receive completes synchronously inside
-    // post_recv, so wait() never blocks and charges o_r on the spot.
-    auto req = machine.post_recv(
-        context_, self.world_rank(), status.source, status.tag,
-        element_buffer_.empty()
-            ? mpi::RecvBuf::discard(element_size_)
-            : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()});
-    self.wait(req);
-    if (req->status.tag == kTagFrame) {
-      begin_frame(req->status);
-      continue;
-    }
-    handle(self, req->status);
-    if (req->status.tag == kTagData) ++processed;
+    const Step step = receive_step(self, /*block=*/!resilient_);
+    if (step == Step::Element) ++processed;
+    if (step == Step::Idle) await_arrival_or_failure(self, "stream poll");
   }
   return processed;
 }
 
+Stream::Step Stream::receive_step(mpi::Rank& self, bool block) {
+  if (frame_left_ > 0)
+    return consume_frame_element(self) ? Step::Element : Step::Other;
+  auto& machine = self.machine();
+  mpi::Status next;  // any source, any tag
+  if (!block && !machine.match_probe(context_, self.world_rank(),
+                                     mpi::kAnySource, mpi::kAnyTag, &next))
+    return Step::Idle;
+  // A blocking receive has its o_r fused into the wake-up. After a
+  // successful probe the receive completes synchronously inside post_recv,
+  // so wait() never blocks and charges o_r on the spot.
+  auto req = machine.post_recv(
+      context_, self.world_rank(), next.source, next.tag,
+      mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()}, {},
+      /*fused_wake=*/block);
+  self.wait(req);
+  handle(self, req->status);
+  return Step::Other;
+}
+
+void Stream::service_recovery(mpi::Rank& self) {
+  check_consumer_failover(self);
+  if (tree_v2_) {
+    progress_termination(self);
+    maybe_ack_announce(self);
+  }
+}
+
+void Stream::await_arrival_or_failure(mpi::Rank& self, const char* what) {
+  auto& machine = self.machine();
+  machine.add_probe_waiter(self.world_rank(), self.process().id());
+  machine.add_failure_waiter(self.process().id());
+  self.process().set_state_note(blocked_note(what));
+  self.process().suspend();
+  machine.ensure_alive(self.world_rank());
+  self.process().set_state_note({});
+}
+
 bool Stream::poll_one(mpi::Rank& self) {
   ensure_consumer_state(self);
-  auto& machine = self.machine();
   // Terminations are control flow, not elements: consume them silently and
   // keep looking, so the return value counts data elements only (matching
   // operate_while accounting). Replay duplicates are likewise absorbed.
   while (true) {
-    if (resilient_) {
-      check_consumer_failover(self);
-      if (tree_v2_) {
-        progress_termination(self);
-        maybe_ack_announce(self);
-      }
-    }
-    if (exhausted()) break;
-    if (frame_left_ > 0) {
-      if (consume_frame_element(self)) return true;
-      continue;
-    }
-    mpi::Status status;
-    if (!machine.match_probe(context_, self.world_rank(), mpi::kAnySource,
-                             mpi::kAnyTag, &status))
-      return false;
-    // No fused wake here: after a successful probe the receive completes
-    // synchronously inside post_recv, so wait() never blocks and charges
-    // o_r on the spot.
-    auto req = machine.post_recv(
-        context_, self.world_rank(), status.source, status.tag,
-        element_buffer_.empty()
-            ? mpi::RecvBuf::discard(element_size_)
-            : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()});
-    self.wait(req);
-    if (req->status.tag == kTagFrame) {
-      begin_frame(req->status);
-      continue;
-    }
-    handle(self, req->status);
-    if (req->status.tag == kTagData) return true;
+    if (resilient_) service_recovery(self);
+    if (exhausted()) return false;
+    const Step step = receive_step(self, /*block=*/false);
+    if (step != Step::Other) return step == Step::Element;
   }
-  return false;
 }
 
 void Stream::absorb_termination(mpi::Rank& self) {

@@ -28,21 +28,23 @@
 // which ds::decouple::Pipeline calls at teardown once the rank's own
 // producer streams are terminated.
 //
-// Transport coalescing (ChannelConfig::coalesce_budget): elements a producer
-// injects at the same virtual instant toward the same consumer are packed
-// into one framed fabric message (length-prefixed sub-records) and unpacked
-// in place at the consumer — element semantics (per-(context,src) FIFO,
-// wildcard matching, count-based termination exhaustion, credit accounting)
-// are preserved with counted rather than per-message bookkeeping, while the
+// Transport: every element travels in a frame — one fabric message of
+// length-prefixed sub-records, unpacked in place at the consumer. Elements a
+// producer injects at the same virtual instant toward the same consumer
+// share a frame of up to ChannelConfig::coalesce_budget wire bytes, so the
 // per-message software cost o_s/o_r and the wake/advance context-switch pair
-// are paid once per frame. A same-instant backstop event flushes the moment
-// the producing fiber yields, so coalescing never delays an element in
-// virtual time. See ChannelConfig::flow_autotune for the self-tuning loop.
+// are paid once per frame; element semantics (per-(context,src) FIFO,
+// wildcard matching, count-based termination exhaustion, credit accounting)
+// are preserved with counted rather than per-message bookkeeping. A
+// same-instant backstop event flushes the moment the producing fiber yields,
+// so coalescing never delays an element in virtual time. An element that
+// does not fit the budget (every element when it is 0) is framed alone and
+// posted at once. See ChannelConfig::flow_autotune for the self-tuning loop.
 //
 // Resilience (ChannelConfig::checkpoint_interval > 0, the ds::resilience
-// subsystem): every element travels in a framed message stamped with its
-// *flow* (the original consumer index its sequence space belongs to) and
-// sequence number. Producers cut an epoch every checkpoint_interval elements
+// subsystem): every frame is stamped with its *flow* (the original consumer
+// index its sequence space belongs to) and the sequence number of its first
+// element. Producers cut an epoch every checkpoint_interval elements
 // per flow and retain flushed-but-not-durably-acknowledged frames in a
 // bounded replay log (resilience::ReplayLog); consumers acknowledge epoch
 // durability (automatically at epoch boundaries, or via ack_durable for
@@ -109,7 +111,7 @@
 
 namespace ds::stream {
 
-/// Producer-side coalescing state (defined in stream.cpp; heap-boxed and
+/// Producer-side framing state (defined in stream.cpp; heap-boxed and
 /// shared with the same-instant backstop events so a moved/destroyed Stream
 /// never leaves a scheduled flush dangling).
 struct CoalesceState;
@@ -158,7 +160,7 @@ class Stream {
     isend(self, mpi::SendBuf::synthetic(element_size_));
   }
 
-  /// Producer: flush any coalesced frames still buffered (one per addressed
+  /// Producer: flush any frames still buffered (one per addressed
   /// consumer). Rarely needed by applications — frames flush on their own
   /// when the byte budget or element cap fills, when the producer terminates
   /// or blocks on a credit, and (via a same-instant backstop event) the
@@ -242,11 +244,12 @@ class Stream {
   [[nodiscard]] std::uint64_t credits_received() const noexcept {
     return acks_seen_;
   }
-  /// Coalesced frame messages this producer has posted (each carrying one
-  /// or more elements; oversized elements bypass coalescing and are not
-  /// counted here).
+  /// Frame messages this producer has posted, each carrying one or more
+  /// elements. Every element travels in a frame, so this equals
+  /// elements_sent() when no two elements shared one (coalesce_budget 0).
   [[nodiscard]] std::uint64_t frames_sent() const noexcept;
-  /// Elements that left this producer inside coalesced frames.
+  /// Elements that left this producer inside posted frames: every element
+  /// once its frame is flushed (replays are not counted).
   [[nodiscard]] std::uint64_t coalesced_elements_sent() const noexcept;
   /// The producer's current effective coalesce budget in wire bytes (may
   /// differ from ChannelConfig::coalesce_budget under self-tuning); 0 when
@@ -322,10 +325,10 @@ class Stream {
   void ensure_consumer_state(mpi::Rank& self);
   void ensure_producer_state(mpi::Rank& self);
   /// Append one element to the consumer's pending frame, flushing by budget
-  /// or element cap first. False when the element is too large to coalesce
-  /// (bypasses as a per-element message; resilient flows force-frame it
-  /// instead, alone in its own frame, so every element carries a sequence).
-  bool coalesce_element(mpi::Rank& self, int consumer, mpi::SendBuf element);
+  /// or element cap first. An element too large for even an empty frame
+  /// (every element when the budget is 0) is framed alone and posted at
+  /// once, after the frame already pending toward the same consumer.
+  void coalesce_element(mpi::Rank& self, int consumer, mpi::SendBuf element);
   /// Fiber-context flush of one consumer's pending frame (post, retune,
   /// charge the deferred per-element + per-message overhead as one advance).
   void flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger);
@@ -337,7 +340,24 @@ class Stream {
   void begin_frame(const mpi::Status& status);
   bool consume_frame_element(mpi::Rank& self);
   void account_data_element(mpi::Rank& self, int producer);
+  /// Dispatch one message received on the data context: a frame starts
+  /// draining, control messages act on the protocol state.
   void handle(mpi::Rank& self, const mpi::Status& status);
+  /// What one receive step did: handed an element to the operator, consumed
+  /// something else (a control message, a frame header, a replay
+  /// duplicate), or found nothing pending (non-blocking steps only).
+  enum class Step { Element, Other, Idle };
+  /// Consumer: the step every receive loop shares. Drains the next element
+  /// of the current frame; otherwise receives one message on the data
+  /// context — waiting for it when `block`, probing otherwise — and handles
+  /// it.
+  Step receive_step(mpi::Rank& self, bool block);
+  /// Consumer (resilient streams): react to membership changes and drive
+  /// the tree termination protocol; runs before every exhaustion check.
+  void service_recovery(mpi::Rank& self);
+  /// Suspend until the next arrival for this rank or the next crash, with
+  /// `what` (and the termination progress) as the deadlock-report note.
+  void await_arrival_or_failure(mpi::Rank& self, const char* what);
   void handle_tree_term(mpi::Rank& self, const mpi::Status& status);
   /// Send the collective term on to this consumer's tree children, sliced
   /// to each child's subtree.
@@ -408,7 +428,6 @@ class Stream {
                         std::uint64_t upto);
   /// Consumer: ack the current consumption point of every tracked flow.
   void flush_durable_acks(mpi::Rank& self);
-  [[nodiscard]] std::uint32_t window_now() const noexcept;
   /// The real bodies of terminate()/operate_while(); the public entry
   /// points wrap them with the ds::obs span and the lifecycle metrics
   /// flush so every exit path (including RankFailure unwinds) is covered.
@@ -438,9 +457,9 @@ class Stream {
   bool consumer_metrics_flushed_ = false;
   std::uint64_t term_msgs_flushed_ = 0;  ///< term msgs already flushed
   std::vector<std::uint64_t> sent_per_consumer_;  ///< tree termination only
-  /// Coalescing state box (null until the first isend, or when coalescing
-  /// is disabled). Shared with the backstop events scheduled at each frame
-  /// open, so flushes survive Stream moves.
+  /// Framing state box (null until the first isend or terminate). Shared
+  /// with the backstop events scheduled at each frame open, so flushes
+  /// survive Stream moves.
   std::shared_ptr<CoalesceState> coalesce_;
 
   // consumer state
@@ -463,7 +482,6 @@ class Stream {
     }
     [[nodiscard]] std::byte* data() const noexcept { return data_.get(); }
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
    private:
     std::unique_ptr<std::byte[]> data_;
@@ -479,7 +497,7 @@ class Stream {
   bool ack_auto_ = false;        ///< self-tune ack_every_ to frame occupancy
 
   /// Partially drained incoming frame: elements left, read cursor into
-  /// element_buffer_, and the frame's producer index. poll_one/operate pull
+  /// element_buffer_, and the frame's producer index. Receive steps pull
   /// from here before touching the mailbox, so a frame interleaves with
   /// other sources at frame granularity while per-(context,src) order holds.
   std::uint32_t frame_left_ = 0;
@@ -543,11 +561,11 @@ class Stream {
   std::uint64_t term_msgs_sent_ = 0;
   std::uint64_t ack_msgs_sent_ = 0;
 
-  static constexpr int kTagData = 0;
   static constexpr int kTagTerm = 1;
   static constexpr int kTagAck = 2;
-  /// A coalesced frame: length-prefixed sub-records of one or more
-  /// same-destination elements, unpacked in place at the consumer.
+  /// A frame, the only way data travels: length-prefixed sub-records of
+  /// one or more same-destination elements, unpacked in place at the
+  /// consumer.
   static constexpr int kTagFrame = 3;
   /// A durability acknowledgment (resilient streams, durable_context_).
   static constexpr int kTagDurable = 4;

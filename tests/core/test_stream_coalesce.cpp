@@ -4,7 +4,8 @@
 // frames must be invisible to stream consumers — per-(context,src) FIFO
 // order under wildcard receives, count-based termination exhaustion with
 // partial final frames, credit liveness, synthetic elements, oversized
-// bypass — plus the liveness backstop (elements are never delayed past the
+// elements framed alone, one frame per element at budget 0 — plus the
+// liveness backstop (elements are never delayed past the
 // instant the producing fiber yields) and the self-tuning loop
 // (FlowController: budget growth under bursty load, ack batches tracking
 // frame occupancy, AdaptiveBatcher composition).
@@ -233,14 +234,15 @@ TEST(StreamCoalesce, SyntheticElementsSurvivePacking) {
 }
 
 TEST(StreamCoalesce, OversizedElementsBypassAndKeepOrder) {
-  // Elements larger than the frame budget travel per-element; a pending
-  // frame toward the same consumer must flush first so arrival order stays
-  // the send order.
+  // Elements larger than the frame budget travel alone in their own frame;
+  // a pending frame toward the same consumer must flush first so arrival
+  // order stays the send order.
   struct Big {
     int seq = 0;
     std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
   };
   std::vector<int> order;
+  std::uint64_t sent = 0, frames = 0, coalesced = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     const Channel ch = Channel::create(self, self.world(), producer, !producer);
@@ -262,11 +264,17 @@ TEST(StreamCoalesce, OversizedElementsBypassAndKeepOrder) {
         }
       }
       s.terminate(self);
+      sent = s.elements_sent();
+      frames = s.frames_sent();
+      coalesced = s.coalesced_elements_sent();
     } else {
       (void)s.operate(self);
     }
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  // Every element travels in a frame: {0,1}, {2}, {3,4}, {5}.
+  EXPECT_EQ(coalesced, sent);
+  EXPECT_EQ(frames, 4u);
 }
 
 TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
@@ -390,16 +398,16 @@ TEST(StreamCoalesce, ExplicitFlushShipsAPartialFrame) {
 }
 
 TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
-  // Gap left by the PR 4 sweep: an oversized bypass element as the very
-  // last send leaves a partial frame pending toward the same consumer. The
-  // ordering-preserving flush, the bypass message, and the term must arrive
-  // in exactly that order — nothing stranded, nothing overtaken.
+  // An oversized element as the very last send, with a partial frame
+  // pending toward the same consumer. The ordering-preserving flush, the
+  // oversized element's own frame, and the term must arrive in exactly that
+  // order — nothing stranded, nothing overtaken.
   struct Big {
     int seq = 0;
     std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
   };
   std::vector<int> order;
-  std::uint64_t consumed = 0;
+  std::uint64_t consumed = 0, sent = 0, frames = 0, coalesced = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
@@ -418,21 +426,27 @@ TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
       }
       Big big;
       big.seq = 4;
-      s.isend(self, SendBuf::of(&big, 1));  // bypass right before the term
+      s.isend(self, SendBuf::of(&big, 1));  // alone, right before the term
       s.terminate(self);
+      sent = s.elements_sent();
+      frames = s.frames_sent();
+      coalesced = s.coalesced_elements_sent();
     } else {
       consumed = s.operate(self);
     }
   });
   EXPECT_EQ(consumed, 5u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  // Every element travels in a frame: {0,1,2,3}, {4}.
+  EXPECT_EQ(coalesced, sent);
+  EXPECT_EQ(frames, 2u);
 }
 
 TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTermination) {
   // Directed (tree-terminated) spray where every consumer's tail mixes a
-  // partial final frame with an oversized bypass element: count-based
-  // exhaustion must account bypass elements and packed elements alike, on
-  // every consumer, or operate() would hang or exit early.
+  // partial final frame with an oversized element framed alone: count-based
+  // exhaustion must account lone and packed elements alike, on every
+  // consumer, or operate() would hang or exit early.
   struct Big {
     int seq = 0;
     std::byte fill[2500] = {};
@@ -440,6 +454,8 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
   constexpr int kProducers = 2, kConsumers = 3, kEach = 31;
   std::vector<std::uint64_t> per_consumer(kConsumers, 0);
   std::vector<bool> exhausted(kConsumers, false);
+  std::vector<std::uint64_t> sent(kProducers, 0), frames(kProducers, 0),
+      coalesced(kProducers, 0);
   testing::run_program(
       testing::tiny_machine(kProducers + kConsumers), [&](Rank& self) {
         const bool producer = self.world_rank() < kProducers;
@@ -457,13 +473,17 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
             if (i % 5 == 4) {
               Big big;
               big.seq = i;
-              s.isend_to(self, to, SendBuf::of(&big, 1));  // bypass
+              s.isend_to(self, to, SendBuf::of(&big, 1));  // alone
             } else {
               int small[2] = {i, 0};
               s.isend_to(self, to, SendBuf::of(small, 2));  // coalesces
             }
           }
           s.terminate(self);  // partial final frames + announced counts
+          const auto p = static_cast<std::size_t>(self.world_rank());
+          sent[p] = s.elements_sent();
+          frames[p] = s.frames_sent();
+          coalesced[p] = s.coalesced_elements_sent();
         } else {
           per_consumer[static_cast<std::size_t>(me)] = s.operate(self);
           exhausted[static_cast<std::size_t>(me)] = s.exhausted();
@@ -476,18 +496,26 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kProducers) *
                        static_cast<std::uint64_t>(kEach));
+  for (int p = 0; p < kProducers; ++p) {
+    const auto pz = static_cast<std::size_t>(p);
+    EXPECT_EQ(coalesced[pz], sent[pz]) << "producer " << p;
+    // Each run of four small elements spans three consumers, so two of them
+    // share a frame; the oversized fifth travels alone. Six such runs plus
+    // the last small element: 6 * 4 + 1 frames.
+    EXPECT_EQ(frames[pz], 25u) << "producer " << p;
+  }
 }
 
 TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
-  // Oversized bypass interleaved with packed elements under flow control:
-  // per-element credit accounting must stay exact across both paths (a
-  // bypass element acks like any other), so the producer's window never
-  // wedges and the tail drains.
+  // Oversized elements interleaved with small ones under flow control:
+  // per-element credit accounting must stay exact whatever frame an element
+  // rode in (a lone element acks like any other), so the producer's window
+  // never wedges and the tail drains.
   struct Big {
     int seq = 0;
     std::byte fill[2500] = {};
   };
-  std::uint64_t consumed = 0, credits = 0;
+  std::uint64_t consumed = 0, credits = 0, sent = 0, frames = 0, coalesced = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
@@ -509,6 +537,9 @@ TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
       }
       s.terminate(self);
       credits = s.credits_received();
+      sent = s.elements_sent();
+      frames = s.frames_sent();
+      coalesced = s.coalesced_elements_sent();
     } else {
       consumed = s.operate(self);
     }
@@ -516,6 +547,59 @@ TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
   EXPECT_EQ(consumed, 20u);
   EXPECT_LE(credits, 20u);
   EXPECT_GE(credits + 3u, 20u);  // everything beyond a window came back
+  // Each small element sits between two oversized ones, so no two elements
+  // ever share a frame.
+  EXPECT_EQ(frames, sent);
+  EXPECT_EQ(coalesced, sent);
+}
+
+TEST(StreamCoalesce, BudgetZeroSendsEveryElementInItsOwnFrame) {
+  // coalesce_budget = 0 is the paper's fine-grained transport: one frame,
+  // and one fabric message, per element. Elements still arrive in order.
+  struct Run {
+    std::vector<int> order;
+    std::uint64_t sent = 0, frames = 0, coalesced = 0, fabric_messages = 0;
+  };
+  const auto run = [](int elements) {
+    Run r;
+    mpi::Machine machine(testing::tiny_machine(2));
+    machine.run([&](Rank& self) {
+      const bool producer = self.world_rank() == 0;
+      ChannelConfig cfg;
+      cfg.coalesce_budget = 0;
+      const Channel ch =
+          Channel::create(self, self.world(), producer, !producer, cfg);
+      Stream s = Stream::attach(ch, mpi::Datatype::int32(),
+                                [&](const StreamElement& el) {
+                                  int v = 0;
+                                  std::memcpy(&v, el.data, sizeof v);
+                                  r.order.push_back(v);
+                                });
+      if (producer) {
+        for (int i = 0; i < elements; ++i) s.isend(self, SendBuf::of(&i, 1));
+        s.terminate(self);
+        r.sent = s.elements_sent();
+        r.frames = s.frames_sent();
+        r.coalesced = s.coalesced_elements_sent();
+      } else {
+        (void)s.operate(self);
+      }
+    });
+    r.fabric_messages = machine.fabric().total_messages();
+    return r;
+  };
+  constexpr int kElements = 10;
+  const Run empty = run(0);
+  const Run full = run(kElements);
+  std::vector<int> expected(kElements);
+  for (int i = 0; i < kElements; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(full.order, expected);
+  EXPECT_EQ(full.sent, static_cast<std::uint64_t>(kElements));
+  EXPECT_EQ(full.frames, full.sent);
+  EXPECT_EQ(full.coalesced, full.sent);
+  // Channel set-up and the term cost the same in both runs; what the
+  // elements add is exactly one fabric message each.
+  EXPECT_EQ(full.fabric_messages - empty.fabric_messages, full.sent);
 }
 
 }  // namespace

@@ -200,7 +200,11 @@ TEST(StreamFailover, FaultFreeRetentionStaysBounded) {
     ChannelConfig cfg;
     cfg.checkpoint_interval = kInterval;
     cfg.max_inflight = kWindow;
-    cfg.coalesce_max_elements = 4;
+    // Four-element frames: four int64 sub-records (an 8-byte length prefix
+    // plus the 8-byte payload each) behind the 8-byte frame header and the
+    // 16-byte epoch header every resilient frame carries.
+    cfg.coalesce_budget = 8 + 16 + 4 * (8 + 8);
+    cfg.flow_autotune = false;
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
