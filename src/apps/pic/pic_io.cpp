@@ -177,15 +177,12 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
       // flush, not at consumption (see ack_durable in write_fn below).
       batch_options.checkpoint_interval = config.checkpoint_interval;
       batch_options.manual_durability = true;
-      // Directed keeps the exact Block routing (Channel::route's default
-      // peer is the same block assignment) but upgrades termination to the
-      // resilient tree-v2 release barrier: producers stay in their release
-      // wait — replay logs alive, terms re-sendable — and writers stay in
-      // operate() until every writer has flushed and acked the count
-      // matrix. A writer crashing *inside its final flush* is then still
-      // recoverable: nothing was released, so the survivors adopt its flows
-      // and the producers replay the undurable tail to them.
-      batch_options.mapping = decouple::Mapping::Directed;
+      // Resilient termination runs the release barrier: producers stay in
+      // their release wait — replay logs alive, terms re-sendable — and
+      // writers stay in operate() until every writer has flushed and acked
+      // the count matrix. A writer crashing *inside its final flush* is
+      // then still recoverable: nothing was released, so the survivors
+      // adopt its flows and the producers replay the undurable tail to them.
     }
     const auto batches = pipeline.raw_stream_between(
         compute_stage, write_stage, batch_bytes, batch_options);

@@ -97,7 +97,7 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
     ch.consumer_node_.push_back(
         network.ranks_per_node > 0 ? world / network.ranks_per_node : world);
   }
-  if (config.node_aware_term && ch.tree_termination())
+  if (config.node_aware_term)
     ch.build_node_aware_tree();
   const std::uint64_t ctx = mpi::Machine::derive_context(
       parent.context(), 0xC4A77E1ull, config.channel_id);
@@ -261,24 +261,6 @@ int Channel::term_cross_node_edges() const noexcept {
       ++edges;
   }
   return edges;
-}
-
-int Channel::expected_term_count(int consumer) const {
-  if (!tree_termination())
-    return static_cast<int>(producers_of(consumer).size());
-  return consumer == term_aggregator() ? producer_count_ : 1;
-}
-
-std::vector<int> Channel::producers_of(int consumer) const {
-  std::vector<int> result;
-  for (int p = 0; p < producer_count_; ++p) {
-    if (config_.mapping != ChannelConfig::Mapping::Block) {
-      result.push_back(p);  // round-robin/directed producers reach everyone
-    } else if (route(p, 0) == consumer) {
-      result.push_back(p);
-    }
-  }
-  return result;
 }
 
 }  // namespace ds::stream

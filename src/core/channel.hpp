@@ -13,8 +13,9 @@
 //                 load, order preserved only per (producer, consumer) pair.
 //  * Directed   — the producer names the consumer of each element
 //                 (Stream::isend_to; plain isend takes the Block peer);
-//                 order preserved per (producer, consumer) pair, and
-//                 termination aggregated like RoundRobin.
+//                 order preserved per (producer, consumer) pair.
+// The mapping only routes: every mapping terminates through the same
+// counted term tree (see the termination metadata below).
 //
 // This is the implementation layer: application code normally goes through
 // the typed RAII facade in core/decouple.hpp (decouple::Pipeline), which
@@ -42,10 +43,10 @@ struct ChannelConfig {
   /// plus the library call, charged to the producer at every stream_isend.
   util::SimTime inject_overhead = util::nanoseconds(150);
 
-  /// Block      — producer p streams to one fixed consumer.
+  /// Block      — producer p streams to one fixed consumer, its Block peer
+  ///              (Stream::isend_to rejects any other consumer).
   /// RoundRobin — producer p rotates over all consumers.
-  /// Directed   — producers address consumers per element via isend_to;
-  ///              termination is aggregated (see term_* metadata below).
+  /// Directed   — producers address consumers per element via isend_to.
   enum class Mapping { Block, RoundRobin, Directed };
   Mapping mapping = Mapping::Block;
 
@@ -63,14 +64,15 @@ struct ChannelConfig {
   /// `ack_interval`-th element per producer (one ack message carrying the
   /// batched count) instead of per element, cutting flow-control message
   /// count ~ack_interval-fold. Remaining credits are flushed whenever a
-  /// termination message is observed and when the stream is exhausted, so
-  /// the producer window never stalls on the tail. For liveness the
-  /// effective batch is clamped to ceil(max_inflight / spread), where
-  /// spread is the number of consumers a producer can route to (1 under
-  /// Block, the consumer count under RoundRobin/Directed): a blocked
-  /// producer then always has some consumer holding a full batch. 0 picks
-  /// the library default (kDefaultAckInterval). Only meaningful with
-  /// max_inflight > 0.
+  /// termination message arrives (a producer term at the aggregator, the
+  /// collective term everywhere) and when the stream is exhausted, so the
+  /// producer window never stalls on the tail. For liveness the effective
+  /// batch is clamped to ceil(max_inflight / spread), where spread is the
+  /// number of consumers a producer can route to (1 under Block, whose
+  /// producers reach only their peer, the consumer count under
+  /// RoundRobin/Directed): a blocked producer then always has some consumer
+  /// holding a full batch. 0 picks the library default
+  /// (kDefaultAckInterval). Only meaningful with max_inflight > 0.
   std::uint32_t ack_interval = 0;
 
   /// Default credit batch when ack_interval is 0: every 4th element acks.
@@ -115,11 +117,11 @@ struct ChannelConfig {
   /// safe. See resilience::ResilienceOptions.
   bool manual_durability = false;
 
-  /// Node-aware termination aggregation (tree mappings only): shape the term
-  /// tree from the machine's node structure instead of the flat binary heap.
-  /// The first consumer on each node becomes the node's leader; leaders form
-  /// a binary tree among themselves (the only cross-node edges), and every
-  /// other consumer hangs off its own node's leader — so the collective term
+  /// Node-aware termination aggregation: shape the term tree from the
+  /// machine's node structure instead of the flat binary heap. The first
+  /// consumer on each node becomes the node's leader; leaders form a binary
+  /// tree among themselves (the only cross-node edges), and every other
+  /// consumer hangs off its own node's leader — so the collective term
   /// crosses the fabric O(nodes) times instead of O(consumers), and the
   /// per-node hops ride shared memory. The aggregator stays consumer 0.
   /// False (default) keeps the flat heap tree exactly as before.
@@ -202,24 +204,13 @@ class Channel {
                             producer_count);
   }
 
-  /// Producers that may route elements to consumer `c` (for termination
-  /// accounting).
-  [[nodiscard]] std::vector<int> producers_of(int consumer) const;
-
   // ---- termination routing metadata --------------------------------------
-  // Under Block mapping every producer has exactly one peer consumer, so a
-  // terminating producer notifies just that peer. RoundRobin and Directed
-  // producers can reach every consumer; broadcasting a term from each of P
-  // producers to each of C consumers costs O(P*C) messages. Those mappings
-  // instead aggregate: every producer sends one term (carrying its
-  // per-consumer element counts) to a designated aggregator consumer, which
-  // fans the collective term down a binary tree over the consumers —
-  // O(P + C) messages total, O(log C) hops on the aggregation path.
+  // Termination is aggregated whatever the mapping: every producer sends one
+  // term (carrying its per-consumer element counts) to a designated
+  // aggregator consumer, which fans the collective term down a binary tree
+  // over the consumers — O(P + C) messages total, O(log C) hops on the
+  // aggregation path, where a per-producer broadcast would cost O(P*C).
 
-  /// True when termination uses the aggregated tree protocol (non-Block).
-  [[nodiscard]] bool tree_termination() const noexcept {
-    return config_.mapping != ChannelConfig::Mapping::Block;
-  }
   /// Consumer index that aggregates producer terms (tree root). Holds for
   /// both tree shapes: the node-aware build keeps consumer 0 as the first
   /// leader, so the root never moves.
@@ -271,12 +262,6 @@ class Channel {
                ? 0
                : consumer_node_[static_cast<std::size_t>(consumer)];
   }
-  /// Terms consumer `c` must observe before the stream can be exhausted:
-  /// its routed producers under Block; under tree termination P for the
-  /// aggregator (one per producer) and 1 for everyone else (the collective
-  /// term from the tree parent).
-  [[nodiscard]] int expected_term_count(int consumer) const;
-
   /// Channel rank (in comm()) of producer p / consumer c.
   [[nodiscard]] static int producer_rank(int p) noexcept { return p; }
   [[nodiscard]] int consumer_rank(int c) const noexcept {

@@ -97,8 +97,8 @@ struct StreamOptions {
   /// on termination/exhaustion so the window never stalls on the tail.
   /// For liveness the effective batch is clamped to
   /// ceil(max_inflight / spread), where spread is the number of consumers
-  /// a producer can route to (1 under Block, the consumer count under
-  /// RoundRobin/Directed). 0 (default) picks the library default
+  /// a producer can route to (1 under Block, whose producers send only to
+  /// their peer, the consumer count under RoundRobin/Directed). 0 (default) picks the library default
   /// (stream::ChannelConfig::kDefaultAckInterval). Ignored without
   /// max_inflight.
   std::uint32_t ack_interval = 0;
@@ -124,11 +124,11 @@ struct StreamOptions {
   /// Durability-ack mode for resilient streams (see
   /// resilience::ResilienceOptions::manual_durability).
   bool manual_durability = false;
-  /// Node-aware termination aggregation for tree mappings (RoundRobin /
-  /// Directed): shape the term tree from the machine's node structure so
-  /// cross-node term messages scale with the node count instead of the
-  /// consumer count (see ChannelConfig::node_aware_term). Off by default —
-  /// the flat heap tree is kept bit-for-bit.
+  /// Node-aware termination aggregation: shape the term tree from the
+  /// machine's node structure so cross-node term messages scale with the
+  /// node count instead of the consumer count (see
+  /// ChannelConfig::node_aware_term). Off by default — the flat heap tree
+  /// is kept bit-for-bit.
   bool node_aware_term = false;
   /// Elastic membership (resilient streams only): consumer slots that start
   /// deactivated in the shared membership ledger. Their traffic routes to

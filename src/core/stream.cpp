@@ -57,17 +57,15 @@ struct FlowHandoff {
 };
 
 /// One rebalance-sync record (kTagSync from a consumer): the receiver adopts
-/// the dedup cursor — and, under Block mapping, the term-seen flag — for one
-/// (producer, flow) pair, while the sender erases its own entry. `next == 0`
-/// carries no cursor; it still marks the flow as handed over, which is what
-/// adopters blocked in await_rebalance_sync wake on. Producer-sourced
-/// kTagSync messages reuse FlowHandoff as a handback marker instead
-/// (durable = the flow sequence as of the handback).
+/// the dedup cursor for one (producer, flow) pair, while the sender erases
+/// its own entry. `next == 0` carries no cursor; it still marks the flow as
+/// handed over, which is what adopters blocked in await_rebalance_sync wake
+/// on. Producer-sourced kTagSync messages reuse FlowHandoff as a handback
+/// marker instead (durable = the flow sequence as of the handback).
 struct SyncEntry {
   std::uint64_t producer = 0;
   std::uint64_t flow = 0;
   std::uint64_t next = 0;
-  std::uint64_t termed = 0;
 };
 
 constexpr std::size_t kFrameOverhead = sizeof(FrameHeader);
@@ -406,10 +404,17 @@ void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
 }
 
 void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
-  if (channel_->my_producer_index(self) < 0)
-    throw std::logic_error("Stream::isend_to: caller is not a producer");
+  const int p = channel_->my_producer_index(self);
+  if (p < 0) throw std::logic_error("Stream::isend_to: caller is not a producer");
   if (consumer < 0 || consumer >= channel_->consumer_count())
     throw std::out_of_range("Stream::isend_to: consumer index out of range");
+  // The credit clamp sizes batches for a single peer under Block (see
+  // ChannelConfig::ack_interval), so an element sent anywhere else could
+  // leave the producer's window stalled.
+  if (channel_->config().mapping == ChannelConfig::Mapping::Block &&
+      consumer != channel_->route(p, 0))
+    throw std::invalid_argument(
+        "Stream::isend_to: a Block producer streams only to its peer");
   if (element.on_wire() > element_size_)
     throw std::invalid_argument("Stream::isend: element larger than its datatype");
   if (terminated_)
@@ -438,11 +443,11 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   }
 
   ++sent_;
-  // Per-consumer tallies feed the v1 aggregated term; resilient tree
-  // channels derive their counted terms from the per-flow sequence spaces
-  // instead (counts stay logical — the exhaustion matrix is per flow, not
-  // per physical destination).
-  if (channel_->tree_termination() && !coalesce_->resilient) {
+  // Per-consumer tallies feed the v1 aggregated term; resilient channels
+  // derive their counted terms from the per-flow sequence spaces instead
+  // (counts stay logical — the exhaustion matrix is per flow, not per
+  // physical destination).
+  if (!coalesce_->resilient) {
     if (sent_per_consumer_.empty())
       sent_per_consumer_.assign(
           static_cast<std::size_t>(channel_->consumer_count()), 0);
@@ -472,12 +477,9 @@ void Stream::terminate_impl(mpi::Rank& self) {
   ensure_producer_state(self);
   const bool resilient = coalesce_->resilient;
   if (resilient) {
-    // Repair routing before the counts go out. Under tree termination the
-    // release-barrier wait below keeps servicing these until the whole
-    // channel is done, so later crashes/rejoins stay recoverable; under
-    // Block the durability wait below does the same for automatic
-    // durability, while manual durability gets its last chance here
-    // (terminate then returns immediately).
+    // Repair routing before the counts go out; the release-barrier wait
+    // below keeps servicing these until the whole channel is done, so later
+    // crashes/rejoins stay recoverable.
     drain_durable_acks(self);
     check_producer_failover(self);
     check_producer_rebalance(self);
@@ -499,54 +501,6 @@ void Stream::terminate_impl(mpi::Rank& self) {
                       kTagTerm, payload);
     ++term_msgs_sent_;
   };
-  if (!channel_->tree_termination()) {
-    // Block mapping: this producer routes to exactly one consumer — after a
-    // failover, to the consumer that adopted its flow (which repaired its
-    // expected term count when it adopted).
-    const int peer = channel_->route(p, 0);
-    int owner = resilient
-                    ? coalesce_->redirect[static_cast<std::size_t>(peer)]
-                    : peer;
-    post_term(owner, mpi::SendBuf::synthetic(0));
-    if (!resilient) return;
-    // Manual durability keeps the fire-and-forget term: the app owns the
-    // ack schedule, and a consumer that never acks is *defined* as having
-    // no durable effects — blocking here on acks that may never come would
-    // deadlock that contract. Apps that need durability-certified
-    // termination use a tree mapping with a registered durable point (see
-    // set_durable_point), whose release barrier provides exactly that.
-    if (channel_->config().manual_durability) return;
-    // A resilient producer must not retire its replay log while anything it
-    // sent is still undurable: once this fiber exits, a consumer crash
-    // loses the undurable tail for good, and a consumer that crashes and
-    // *rejoins* can never re-learn this producer's term. Block until every
-    // retained frame is acknowledged durable, servicing failover and
-    // rebalance meanwhile, and re-point the term whenever the flow's
-    // ownership moves (the consumer side counts terms idempotently, so
-    // re-sends are harmless).
-    while (true) {
-      drain_durable_acks(self);
-      check_producer_failover(self);
-      check_producer_rebalance(self);
-      const int now_owner =
-          coalesce_->redirect[static_cast<std::size_t>(peer)];
-      if (now_owner != owner) {
-        owner = now_owner;
-        post_term(owner, mpi::SendBuf::synthetic(0));
-      }
-      bool pending = false;
-      for (const auto& flow : coalesce_->flows)
-        if (flow.log.frame_count() > 0) {
-          pending = true;
-          break;
-        }
-      if (!pending) break;
-      if (resilience::effective_aggregator(*channel_, machine) < 0)
-        break;  // every consumer is gone — the tail is fail-stop loss
-      await_arrival_or_failure(self, "stream durability wait");
-    }
-    return;
-  }
   if (!resilient) {
     // Aggregated termination (v1): one term to the aggregator consumer,
     // carrying this producer's per-consumer element counts (nonzero entries
@@ -560,7 +514,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
     return;
   }
 
-  // Resilient tree termination: a *counted term* — this producer's final
+  // Resilient termination: a *counted term* — this producer's final
   // per-flow sequence (one entry per flow it touched) — goes to the
   // effective aggregator, and the producer then blocks until the channel's
   // release barrier commits. Blocking here is what makes the protocol
@@ -614,10 +568,10 @@ const char* Stream::blocked_note(const char* what) {
   // note pointer must outlive the suspension, so it renders into the
   // stream's own buffer.
   std::snprintf(state_note_buf_, sizeof state_note_buf_,
-                "blocked in %s (ctx=%llu consumer=%d terms=%d/%d counts=%d "
+                "blocked in %s (ctx=%llu consumer=%d terms=%d counts=%d "
                 "matrix=%d release=%d/%d announced=%d data=%llu/%llu)",
                 what, static_cast<unsigned long long>(context_), my_consumer_,
-                terms_seen_, expected_terms_, counts_known_ ? 1 : 0,
+                terms_seen_, counts_known_ ? 1 : 0,
                 matrix_satisfied_ ? 1 : 0, release_seen_ ? 1 : 0,
                 release_done_ ? 1 : 0, announced_ ? 1 : 0,
                 static_cast<unsigned long long>(processed_data_),
@@ -630,37 +584,30 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   my_consumer_ = channel_->my_consumer_index(self);
   if (my_consumer_ < 0)
     throw std::logic_error("Stream::operate: caller is not a consumer");
-  expected_terms_ = channel_->expected_term_count(my_consumer_);
   const ChannelConfig& cfg = channel_->config();
   resilient_ = cfg.resilient();
   manual_durability_ = cfg.manual_durability;
   checkpoint_interval_ = cfg.checkpoint_interval;
-  // Tree-mode terms carry up to one count entry per consumer; frames carry
-  // up to the (possibly self-tuned) budget, or one element alone. Size the
-  // receive buffer for the largest of those. Resilient frames carry the
-  // epoch header on top.
+  // Terms carry up to one count entry per consumer; frames carry up to the
+  // (possibly self-tuned) budget, or one element alone. Size the receive
+  // buffer for the largest of those. Resilient frames carry the epoch
+  // header on top.
   const std::size_t frame_overhead =
       kFrameOverhead + (resilient_ ? kEpochOverhead : 0);
   const std::size_t growth =
       cfg.flow_autotune ? ChannelConfig::kCoalesceGrowthCap : 1;
+  const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   std::size_t capacity =
-      std::max(element_size_ + frame_overhead + kSubOverhead,
-               static_cast<std::size_t>(cfg.coalesce_budget) * growth);
-  if (channel_->tree_termination()) {
-    const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    capacity = std::max(capacity, consumers * sizeof(TermEntry));
-  }
+      std::max({element_size_ + frame_overhead + kSubOverhead,
+                static_cast<std::size_t>(cfg.coalesce_budget) * growth,
+                consumers * sizeof(TermEntry)});
   if (resilient_) {
     const auto producers = static_cast<std::size_t>(channel_->producer_count());
-    const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    // Rebalance syncs carry up to one entry per producer; tree-mode
-    // announces carry the whole P x C count matrix.
-    capacity = std::max(capacity, producers * sizeof(SyncEntry));
-    if (channel_->tree_termination())
-      capacity =
-          std::max(capacity, producers * consumers * sizeof(std::uint64_t));
+    // Rebalance syncs carry up to one entry per producer; announces carry
+    // the whole P x C count matrix.
+    capacity = std::max({capacity, producers * sizeof(SyncEntry),
+                         producers * consumers * sizeof(std::uint64_t)});
     term_from_.assign(producers, 0);
-    producer_excluded_.assign(producers, 0);
     adopted_.assign(consumers, 0);
     synced_slot_.assign(consumers, 0);
     slot_active_seen_.resize(consumers);
@@ -671,11 +618,8 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
     // derive the *current* aggregator, not assume slot 0.
     effective_aggregator_ =
         resilience::effective_aggregator(*channel_, self.machine());
-    if (channel_->tree_termination()) {
-      tree_v2_ = true;
-      matrix_.assign(producers * consumers, 0);
-      announce_acked_.assign(consumers, 0);
-    }
+    matrix_.assign(producers * consumers, 0);
+    announce_acked_.assign(consumers, 0);
   }
   element_buffer_.allocate(capacity);
   if (cfg.max_inflight > 0) {
@@ -689,10 +633,10 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
     // the term/exhaustion flushes in handle().
     ack_every_ = cfg.ack_interval == 0 ? ChannelConfig::kDefaultAckInterval
                                        : cfg.ack_interval;
-    const auto spread = channel_->tree_termination()
-                            ? static_cast<std::uint32_t>(
-                                  channel_->consumer_count())
-                            : 1u;
+    const auto spread =
+        cfg.mapping == ChannelConfig::Mapping::Block
+            ? 1u
+            : static_cast<std::uint32_t>(channel_->consumer_count());
     ack_limit_ = std::max(1u, (cfg.max_inflight + spread - 1) / spread);
     ack_every_ = std::max(1u, std::min(ack_every_, ack_limit_));
     // Self-tuning acks: track the observed frame occupancy (one ack per
@@ -752,7 +696,7 @@ void Stream::handle_tree_term(mpi::Rank& self, const mpi::Status& status) {
     if (count_accum_.empty()) count_accum_.assign(consumers, 0);
     for (const TermEntry& e : term_rx_)
       if (e.consumer < consumers) count_accum_[e.consumer] += e.count;
-    if (terms_seen_ >= expected_terms_) {
+    if (terms_seen_ >= channel_->producer_count()) {
       expected_data_ = count_accum_[static_cast<std::size_t>(my_consumer_)];
       counts_known_ = true;
       term_tx_.clear();
@@ -923,15 +867,12 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       // elements go home; the previous owner gets a handback marker telling
       // it to ship its cursor to the home slot (per-source FIFO puts the
       // marker after every element it received from us). Only flows this
-      // producer actually uses need a marker — under Block that includes
-      // the zero-send routed flow, whose term accounting moves with it.
+      // producer actually uses need a marker.
       const int prev = st.redirect[flow];
       st.redirect[flow] = static_cast<int>(flow);
       st.flow_incarnation[flow] = machine.incarnation(home_world);
       if (p.elements > 0) p.dst_world = home_world;
-      if (fl.seq > 0 ||
-          (!channel_->tree_termination() &&
-           channel_->route(st.producer_index, 0) == static_cast<int>(flow))) {
+      if (fl.seq > 0) {
         const FlowHandoff marker{fl.seq, static_cast<std::uint32_t>(flow), 0};
         self.process().advance(st.send_overhead);
         machine.post_send(
@@ -1009,11 +950,6 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
     // A freshly owned slot may have unmet announced counts: re-derive the
     // matrix verdict from scratch.
     matrix_satisfied_ = false;
-    // Block mapping counts terms per routed producer: adopting a consumer's
-    // flows means its producers' terms now arrive here.
-    if (!channel_->tree_termination())
-      expected_terms_ +=
-          static_cast<int>(channel_->producers_of(c).size());
     // Adoption by *retire* (the slot's rank is alive — it deactivated
     // voluntarily): block for the retiree's cursor sync before touching any
     // replayed data of the flow. The retiree already processed the
@@ -1021,46 +957,24 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
     // them before the cursor arrives would double-process them.
     if (!dead && was_active) await_rebalance_sync(self, c);
   }
-  // A producer that crashed without terminating leaves a hole in the Block
-  // term count; its undurable tail is unrecoverable (fail-stop), so the
-  // expectation is dropped rather than waited on. Tree mode handles this in
-  // the aggregator's completion rule and the matrix waiver instead.
-  if (!channel_->tree_termination()) {
-    for (int s = 0; s < consumers; ++s) {
-      if (s != my_consumer_ && adopted_[static_cast<std::size_t>(s)] == 0)
-        continue;
-      for (const int p : channel_->producers_of(s)) {
-        const auto pz = static_cast<std::size_t>(p);
-        if (term_from_[pz] != 0 || producer_excluded_[pz] != 0) continue;
-        if (!machine.rank_failed(
-                channel_->comm().world_rank(Channel::producer_rank(p))))
-          continue;
-        producer_excluded_[pz] = 1;
-        --expected_terms_;
-      }
+  const int aggregator = resilience::effective_aggregator(*channel_, machine);
+  if (aggregator >= 0 && aggregator != effective_aggregator_) {
+    effective_aggregator_ = aggregator;
+    if (my_consumer_ == aggregator) {
+      // Taking over the role mid-protocol: collect announce-acks afresh.
+      // The release invariant guarantees soundness — either no producer was
+      // released yet (they are still blocked and re-send their counted
+      // terms here) or every live consumer, this one included, already
+      // holds the matrix from the old aggregator's announce.
+      announced_ = false;
+      std::fill(announce_acked_.begin(), announce_acked_.end(), 0);
     }
   }
-  if (channel_->tree_termination()) {
-    const int aggregator =
-        resilience::effective_aggregator(*channel_, machine);
-    if (aggregator >= 0 && aggregator != effective_aggregator_) {
-      effective_aggregator_ = aggregator;
-      if (my_consumer_ == aggregator) {
-        // Taking over the role mid-protocol: collect announce-acks afresh.
-        // The release invariant guarantees soundness — either no producer
-        // was released yet (they are still blocked and re-send their
-        // counted terms here) or every live consumer, this one included,
-        // already holds the matrix from the old aggregator's announce.
-        announced_ = false;
-        std::fill(announce_acked_.begin(), announce_acked_.end(), 0);
-      }
-    }
-    if (counts_known_) update_matrix_exhaustion(self);
-  }
+  if (counts_known_) update_matrix_exhaustion(self);
 }
 
 void Stream::update_matrix_exhaustion(mpi::Rank& self) {
-  if (!tree_v2_ || !counts_known_ || matrix_satisfied_) return;
+  if (!resilient_ || !counts_known_ || matrix_satisfied_) return;
   auto& machine = self.machine();
   const int producers = channel_->producer_count();
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
@@ -1101,7 +1015,7 @@ void Stream::maybe_ack_announce(mpi::Rank& self) {
 }
 
 void Stream::progress_termination(mpi::Rank& self) {
-  if (!tree_v2_ || retired_ || release_done_ || release_seen_) return;
+  if (!resilient_ || retired_ || release_done_ || release_seen_) return;
   if (my_consumer_ != effective_aggregator_) return;
   auto& machine = self.machine();
   const int producers = channel_->producer_count();
@@ -1247,13 +1161,6 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
       adopted_[static_cast<std::size_t>(flow)] = 0;
       synced_slot_[static_cast<std::size_t>(flow)] = 0;
     }
-    // Block mapping: this producer's term now routes to the home slot
-    // again — drop the expectation raised at adoption (unless its term
-    // already landed here and was counted).
-    if (!channel_->tree_termination() &&
-        channel_->route(status.source, 0) == flow &&
-        term_from_[static_cast<std::size_t>(status.source)] == 0)
-      --expected_terms_;
     return;
   }
   // Cursor sync from another consumer (a retiree handing over its slots, or
@@ -1269,14 +1176,8 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
       continue;
     synced_slot_[static_cast<std::size_t>(flow)] = 1;
     if (e.next > 0) dedup_.advance_to(p, flow, e.next);
-    if (!channel_->tree_termination() && e.termed != 0 &&
-        term_from_[static_cast<std::size_t>(p)] == 0) {
-      // The previous owner consumed this producer's term on our behalf.
-      term_from_[static_cast<std::size_t>(p)] = 1;
-      ++terms_seen_;
-    }
   }
-  if (tree_v2_ && counts_known_) update_matrix_exhaustion(self);
+  if (counts_known_) update_matrix_exhaustion(self);
 }
 
 void Stream::send_rebalance_sync(mpi::Rank& self, int target, int flow,
@@ -1287,21 +1188,17 @@ void Stream::send_rebalance_sync(mpi::Rank& self, int target, int flow,
   for (int p = 0; p < producers; ++p) {
     if (only_producer >= 0 && p != only_producer) continue;
     const std::uint64_t next = dedup_.next_seq(p, flow);
-    const bool termed = !channel_->tree_termination() &&
-                        term_from_[static_cast<std::size_t>(p)] != 0 &&
-                        channel_->route(p, 0) == flow;
     dedup_.erase(p, flow);
     durable_acked_.erase(resilience::DedupFilter::key(p, flow));
-    if (next == 0 && !termed) continue;
+    if (next == 0) continue;
     entries.push_back(SyncEntry{static_cast<std::uint64_t>(p),
-                                static_cast<std::uint64_t>(flow), next,
-                                termed ? 1u : 0u});
+                                static_cast<std::uint64_t>(flow), next});
   }
   // A retiring consumer's sync must arrive even when it carries nothing —
   // the adopter blocks on it; a bare entry marks the handover.
   if (entries.empty()) {
     if (only_producer >= 0) return;  // marker replies may stay silent
-    entries.push_back(SyncEntry{0, static_cast<std::uint64_t>(flow), 0, 0});
+    entries.push_back(SyncEntry{0, static_cast<std::uint64_t>(flow), 0});
   }
   self.process().advance(machine.config().network.send_overhead);
   machine.post_send(context_, channel_->consumer_rank(my_consumer_),
@@ -1348,18 +1245,16 @@ void Stream::retire(mpi::Rank& self) {
       send_rebalance_sync(self, target, s);
     adopted_[sz] = 0;
   }
-  if (tree_v2_) {
-    // Courtesy ack so the aggregator's release barrier stops waiting on us
-    // (recomputed post-deactivation, so it can never be this slot).
-    const int agg = resilience::effective_aggregator(*channel_, machine);
-    if (agg >= 0 && agg != my_consumer_) {
-      self.process().advance(machine.config().network.send_overhead);
-      machine.post_send(
-          context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
-          channel_->comm().world_rank(channel_->consumer_rank(agg)),
-          kTagAnnounceAck, mpi::SendBuf::synthetic(0));
-      ++term_msgs_sent_;
-    }
+  // Courtesy ack so the aggregator's release barrier stops waiting on us
+  // (recomputed post-deactivation, so it can never be this slot).
+  const int agg = resilience::effective_aggregator(*channel_, machine);
+  if (agg >= 0 && agg != my_consumer_) {
+    self.process().advance(machine.config().network.send_overhead);
+    machine.post_send(
+        context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
+        channel_->comm().world_rank(channel_->consumer_rank(agg)),
+        kTagAnnounceAck, mpi::SendBuf::synthetic(0));
+    ++term_msgs_sent_;
   }
   if (!credit_pending_.empty()) flush_all_credits(self);
   retired_ = true;
@@ -1456,7 +1351,7 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
                        sub.wire, frame_source_};
       operator_(el);
     }
-    if (tree_v2_ && counts_known_ && !matrix_satisfied_)
+    if (resilient_ && counts_known_ && !matrix_satisfied_)
       update_matrix_exhaustion(self);
     account_data_element(self, frame_source_);
     if (resilient_) {
@@ -1482,24 +1377,10 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     return;
   }
   if (status.tag == kTagTerm) {
-    if (tree_v2_)
+    if (resilient_)
       handle_counted_term(self, status);
-    else if (channel_->tree_termination())
+    else
       handle_tree_term(self, status);
-    else if (resilient_ && status.source >= 0 &&
-             status.source < channel_->producer_count()) {
-      // Terms are idempotent under churn: a producer re-points its term
-      // whenever its flow changes owners, so the same producer's term can
-      // reach a consumer more than once (directly, or via a handback
-      // cursor sync that already credited it). Count each producer once.
-      auto& from = term_from_[static_cast<std::size_t>(status.source)];
-      if (from == 0) {
-        from = 1;
-        ++terms_seen_;
-      }
-    } else {
-      ++terms_seen_;
-    }
     // A term means a producer (or the whole tree) has gone quiet: return
     // every credit still held back so no producer tail blocks on a partial
     // batch.
@@ -1514,12 +1395,12 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
       std::memcpy(&handoff, element_buffer_.data(), sizeof handoff);
       dedup_.advance_to(status.source, static_cast<int>(handoff.flow),
                         handoff.durable);
-      if (tree_v2_ && counts_known_) update_matrix_exhaustion(self);
+      if (counts_known_) update_matrix_exhaustion(self);
     }
     return;
   }
   if (status.tag == kTagAnnounce) {
-    if (tree_v2_ && !status.synthetic &&
+    if (resilient_ && !status.synthetic &&
         status.bytes >= matrix_.size() * sizeof(std::uint64_t)) {
       std::memcpy(matrix_.data(), element_buffer_.data(),
                   matrix_.size() * sizeof(std::uint64_t));
@@ -1555,12 +1436,12 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
   }
   if (status.tag == kTagAnnounceAck) {
     const int c = status.source - channel_->producer_count();
-    if (tree_v2_ && c >= 0 && c < channel_->consumer_count())
+    if (resilient_ && c >= 0 && c < channel_->consumer_count())
       announce_acked_[static_cast<std::size_t>(c)] = 1;
     return;
   }
   if (status.tag == kTagRelease) {
-    if (tree_v2_) release_seen_ = true;
+    if (resilient_) release_seen_ = true;
     return;
   }
   if (status.tag == kTagSync) handle_sync(self, status);
@@ -1591,18 +1472,17 @@ std::uint64_t Stream::operate_loop(mpi::Rank& self,
   //
   // A resilient consumer never parks in a plain blocking receive — a crash,
   // rejoin, or elastic membership change may be exactly what unblocks
-  // termination (adoption raising the expected term count, a takeover of
-  // the aggregator role, a flow handed back). Its idle waits therefore sleep
+  // termination (a dead producer's counts waived, a takeover of the
+  // aggregator role, a flow handed back). Its idle waits therefore sleep
   // on probe + failure waiters, waking on the next arrival *or* membership
   // event, and every iteration re-reacts before re-judging exhaustion.
   while (true) {
     if (resilient_) service_recovery(self);
     if (exhausted() || !keep_going()) {
-      // Producers block in their termination protocol until their replay
-      // logs are acknowledged durable. Auto-durability acks normally flow
-      // from the data path, but when a *term* (or a membership event) is
-      // what flips exhaustion, nothing after it would ack — flush here so
-      // the producers' durability wait always terminates.
+      // Auto-durability acks normally flow from the data path, but when a
+      // *term* (or a membership event) is what flips exhaustion, nothing
+      // after it would ack — flush here so the producers' replay logs are
+      // truncated to everything this consumer processed.
       if (resilient_ && !manual_durability_) flush_durable_acks(self);
       break;
     }
@@ -1635,10 +1515,8 @@ Stream::Step Stream::receive_step(mpi::Rank& self, bool block) {
 
 void Stream::service_recovery(mpi::Rank& self) {
   check_consumer_failover(self);
-  if (tree_v2_) {
-    progress_termination(self);
-    maybe_ack_announce(self);
-  }
+  progress_termination(self);
+  maybe_ack_announce(self);
 }
 
 void Stream::await_arrival_or_failure(mpi::Rank& self, const char* what) {

@@ -7,26 +7,25 @@
 // in first-come-first-served arrival order across all of their producers;
 // that FCFS consumption is the mechanism that absorbs producer imbalance.
 //
-// Termination (MPIStream_Terminate): under Block mapping a terminating
-// producer notifies its single peer consumer, and operate() returns once
-// every routed producer has terminated. RoundRobin and Directed channels
-// aggregate instead of broadcasting: each producer sends one term — carrying
-// its per-consumer element counts — to the channel's aggregator consumer,
-// which fans the collective term (with the summed counts) down a binary tree
-// over the consumers. A consumer is exhausted once it has seen its term(s)
-// AND processed exactly the announced number of elements, so a collective
-// term can never overtake in-flight data.
+// Termination (MPIStream_Terminate) is aggregated whatever the mapping:
+// each producer sends one term — carrying its per-consumer element counts —
+// to the channel's aggregator consumer, which fans the collective term (with
+// the summed counts) down a binary tree over the consumers. A consumer is
+// exhausted once it holds its announced count AND has processed exactly that
+// many elements, so a collective term can never overtake in-flight data.
 //
-// Liveness contract of the aggregated protocol: the collective term travels
-// through consumers, so a consumer that stops servicing the stream (returns
-// from operate_while early and never polls again) also stops forwarding the
-// term to its tree descendants. Waiting on exhausted()/operate() completion
-// therefore requires every consumer of the channel to keep servicing the
-// stream; protocols where consumers leave early by design (e.g. the PIC
-// close-notification stream) must not wait on exhaustion inside their
-// program. They finish the protocol afterwards with absorb_termination(),
-// which ds::decouple::Pipeline calls at teardown once the rank's own
-// producer streams are terminated.
+// Liveness contract: the collective term travels through consumers, so a
+// consumer that stops servicing the stream (returns from operate_while early
+// and never polls again) also stops forwarding the term to its tree
+// descendants — under every mapping, Block included: a Block consumer's
+// exhaustion waits for every producer of the channel, not just its routed
+// ones. Waiting on exhausted()/operate() completion therefore requires every
+// consumer of the channel to keep servicing the stream; protocols where
+// consumers leave early by design (e.g. the PIC close-notification stream)
+// must not wait on exhaustion inside their program. They finish the
+// protocol afterwards with absorb_termination(), which
+// ds::decouple::Pipeline calls at teardown once the rank's own producer
+// streams are terminated.
 //
 // Transport: every element travels in a frame — one fabric message of
 // length-prefixed sub-records, unpacked in place at the consumer. Elements a
@@ -57,7 +56,7 @@
 // (terminate() repairs its own routing); data already durable at the dead
 // consumer is never replayed.
 //
-// Resilient termination (tree mappings) runs a release-barrier protocol
+// Resilient termination (any mapping) runs a release-barrier protocol
 // that covers the remaining failure-matrix cells — producer crash,
 // aggregator crash mid-protocol, rank rejoin, elastic membership:
 //
@@ -152,7 +151,9 @@ class Stream {
   /// Producer: inject one element addressed to a specific consumer index
   /// (Directed routing; used when elements carry their own destination,
   /// e.g. halo faces addressed to a neighbour's helper). Throws
-  /// std::out_of_range when `consumer` is not a valid consumer index.
+  /// std::out_of_range when `consumer` is not a valid consumer index, and
+  /// std::invalid_argument on a Block channel when `consumer` is not this
+  /// producer's Block peer (the credit clamp assumes a single peer).
   void isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element);
 
   /// Producer: inject a synthetic element of the full element size.
@@ -204,7 +205,7 @@ class Stream {
   /// and in automatic mode (where epoch boundaries ack on their own).
   void ack_durable(mpi::Rank& self);
 
-  /// Consumer (resilient tree streams with manual_durability): register the
+  /// Consumer (resilient streams with manual_durability): register the
   /// durability hook the termination protocol invokes before this consumer
   /// commits to the release barrier — right before its announce-ack, and
   /// (on the aggregator) right before the release broadcast. The hook must
@@ -293,22 +294,19 @@ class Stream {
     return durable_acks_sent_;
   }
   /// True once the stream's termination protocol has completed for this
-  /// consumer. Non-resilient / Block: all terms observed and, under tree
-  /// termination, every announced element processed. Resilient tree mode:
-  /// the count matrix is known, every (live producer, owned flow) cursor
-  /// reached its announced count, and the release barrier passed. A retired
-  /// consumer is exhausted by definition.
+  /// consumer. Non-resilient: the announced count is known and that many
+  /// elements were processed. Resilient: the count matrix is known, every
+  /// (live producer, owned flow) cursor reached its announced count, and the
+  /// release barrier passed. A retired consumer is exhausted by definition.
   [[nodiscard]] bool exhausted() const noexcept {
     if (retired_) return true;
-    if (tree_v2_) {
-      if (!counts_known_ || !matrix_satisfied_) return false;
-      // Either form of the barrier counts: a consumer that received the
-      // release and is later re-derived as aggregator (the old aggregator
-      // crashed after broadcasting) must not wait for a second one.
-      return release_seen_ || release_done_;
-    }
-    if (expected_terms_ < 0 || terms_seen_ < expected_terms_) return false;
-    return !counts_known_ || processed_data_ >= expected_data_;
+    if (!counts_known_) return false;
+    // Either form of the barrier counts: a consumer that received the
+    // release and is later re-derived as aggregator (the old aggregator
+    // crashed after broadcasting) must not wait for a second one.
+    if (resilient_)
+      return matrix_satisfied_ && (release_seen_ || release_done_);
+    return processed_data_ >= expected_data_;
   }
 
  private:
@@ -388,22 +386,20 @@ class Stream {
   bool check_producer_rebalance(mpi::Rank& self);
   /// Consumer: react to newly observed crashes, rejoins, and membership
   /// changes — adopt dead/retired consumers' flows this rank is the
-  /// failover target of (repairing expected term counts under Block
-  /// mapping), exclude dead producers' missing terms, and re-derive the
-  /// effective aggregator.
+  /// failover target of, and re-derive the effective aggregator.
   void check_consumer_failover(mpi::Rank& self);
-  /// Consumer, resilient tree mode, effective aggregator only: drive the
+  /// Consumer, resilient streams, effective aggregator only: drive the
   /// termination protocol forward — complete term collection (waiving dead
   /// producers), announce the count matrix, collect announce-acks, release.
   void progress_termination(mpi::Rank& self);
-  /// Consumer, resilient tree mode: recompute matrix_satisfied_ from the
+  /// Consumer, resilient streams: recompute matrix_satisfied_ from the
   /// dedup cursors against the announced matrix (dead producers waived).
   void update_matrix_exhaustion(mpi::Rank& self);
-  /// Consumer, resilient tree mode with a registered durable point: once
+  /// Consumer, resilient streams with a registered durable point: once
   /// everything this consumer owes the matrix is consumed, run the flush
   /// hook and send the deferred announce-ack.
   void maybe_ack_announce(mpi::Rank& self);
-  /// Aggregator (resilient tree mode): record one producer's counted term
+  /// Aggregator (resilient streams): record one producer's counted term
   /// as an idempotent matrix row.
   void handle_counted_term(mpi::Rank& self, const mpi::Status& status);
   /// Producer: hand one flow to `dst_world` — durable point first, then the
@@ -456,7 +452,7 @@ class Stream {
   bool producer_metrics_flushed_ = false;
   bool consumer_metrics_flushed_ = false;
   std::uint64_t term_msgs_flushed_ = 0;  ///< term msgs already flushed
-  std::vector<std::uint64_t> sent_per_consumer_;  ///< tree termination only
+  std::vector<std::uint64_t> sent_per_consumer_;  ///< non-resilient terms
   /// Framing state box (null until the first isend or terminate). Shared
   /// with the backstop events scheduled at each frame open, so flushes
   /// survive Stream moves.
@@ -464,11 +460,10 @@ class Stream {
 
   // consumer state
   int my_consumer_ = -1;
-  int expected_terms_ = -1;
-  int terms_seen_ = 0;
+  int terms_seen_ = 0;  ///< terms received (one per producer at the root)
   std::uint64_t processed_data_ = 0;
   std::uint64_t expected_data_ = 0;
-  bool counts_known_ = false;  ///< tree mode: announced counts received
+  bool counts_known_ = false;  ///< announced counts received
   std::vector<std::uint64_t> count_accum_;  ///< aggregator: per-consumer sums
   /// Consumer receive buffer, sized once to the largest message the
   /// channel can deliver. Allocated without initialisation: deliveries
@@ -525,11 +520,9 @@ class Stream {
   std::unordered_map<std::uint64_t, std::uint64_t> durable_acked_;
   std::uint64_t durable_acks_sent_ = 0;
 
-  // resilient tree-termination protocol (the "v2" release barrier)
-  bool tree_v2_ = false;   ///< resilient_ && tree_termination
+  // resilient termination protocol (the "v2" release barrier)
   bool retired_ = false;   ///< this consumer left via retire()
   std::vector<std::uint8_t> term_from_;  ///< per-producer: term received
-  std::vector<std::uint8_t> producer_excluded_;  ///< Block: dead, term waived
   std::vector<std::uint64_t> matrix_;  ///< announced counts, P x C flattened
   bool matrix_satisfied_ = false;  ///< owned cursors reached the matrix
   bool release_seen_ = false;      ///< TermRelease received (non-aggregator)
@@ -575,7 +568,7 @@ class Stream {
   /// already-durable prefix.
   static constexpr int kTagHandoff = 5;
   /// Aggregator -> consumers: the full (producer x flow) count matrix
-  /// (resilient tree termination). Idempotent; resent after membership
+  /// (resilient termination). Idempotent; resent after membership
   /// changes until acked.
   static constexpr int kTagAnnounce = 6;
   /// Consumer -> aggregator: matrix received (or a retiring consumer's

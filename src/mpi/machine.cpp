@@ -61,7 +61,17 @@ util::SimTime Machine::run(std::function<void(Rank&)> program) {
   program_ = std::move(program);
   for (int r = 0; r < config_.world_size; ++r) spawn_rank(r);
   install_faults();
-  engine_.run();
+  try {
+    engine_.run();
+  } catch (...) {
+    // Fail-stop every rank so each parked fiber, resumed once, throws
+    // RankFailure out of its blocking call and unwinds. Only the dead flag:
+    // kill_rank's mailbox drain and failure-waiter wakes would run protocol
+    // continuations and schedule events nobody executes.
+    std::fill(dead_.begin(), dead_.end(), 1);
+    engine_.unwind_unfinished();
+    throw;
+  }
   return engine_.now();
 }
 

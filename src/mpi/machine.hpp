@@ -58,7 +58,11 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   /// Spawn one fiber per world rank running `program`, then run the engine
-  /// to completion. Returns the virtual makespan (latest event time).
+  /// to completion. Returns the virtual makespan (latest event time). When
+  /// the run ends by exception (DeadlockError, CollectiveTimeout, a throwing
+  /// program), every unfinished rank is fail-stopped and unwound before the
+  /// exception propagates, so objects on its stack are destroyed rather
+  /// than freed with the stack.
   util::SimTime run(std::function<void(Rank&)> program);
 
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }

@@ -141,6 +141,22 @@ void Engine::run() {
   if (live_ > 0) report_deadlock();
 }
 
+void Engine::unwind_unfinished() {
+  for (const auto& p : processes_) {
+    if (p->fiber_->finished() || !p->fiber_->started()) continue;
+    p->state_ = Process::State::Runnable;
+    try {
+      resume_process(*p);
+    } catch (...) {
+      // The run is already failing with its own exception; this one only
+      // ended the unwinding process.
+      running_ = nullptr;
+      p->state_ = Process::State::Finished;
+      --live_;
+    }
+  }
+}
+
 void Engine::report_deadlock() const {
   std::ostringstream msg;
   msg << "simulation deadlock at t=" << util::to_seconds(clock_) << "s; "

@@ -138,6 +138,14 @@ class Engine {
   /// queue drains first; propagates exceptions thrown by process bodies.
   void run();
 
+  /// After run() exited by exception: resume every started, unfinished
+  /// process once, outside the event loop, swallowing whatever it throws. A
+  /// process whose blocking call throws on return (e.g. a crashed rank's
+  /// fail-stop check) unwinds its stack, so the destructors of its frames
+  /// run instead of the stack being freed under them. A process that
+  /// blocks again stays parked.
+  void unwind_unfinished();
+
   [[nodiscard]] util::SimTime now() const noexcept { return clock_; }
   [[nodiscard]] std::size_t process_count() const noexcept { return processes_.size(); }
   [[nodiscard]] std::size_t live_count() const noexcept { return live_; }

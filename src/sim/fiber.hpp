@@ -57,6 +57,7 @@ class Fiber {
   /// Must be called from inside a fiber: switch back to whoever resumed it.
   static void yield();
 
+  [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 
   /// True when the calling code is executing inside some fiber.

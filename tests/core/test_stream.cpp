@@ -227,39 +227,89 @@ TEST(Stream, MultipleStreamsOnOneChannelStaySeparate) {
 TEST(Stream, DirectedTerminationAggregatesThroughTree) {
   // Regression for the O(P*C) term broadcast: every producer must send
   // exactly one term (to the aggregator), every consumer at most two (its
-  // tree children), P + C - 1 term messages in total.
+  // tree children), P + C - 1 term messages in total. Block channels take
+  // the same tree: their producers reach only their peer, but terminate
+  // like everyone else.
   constexpr int kProducers = 3;
   constexpr int kConsumers = 8;
-  std::uint64_t producer_terms = 0, consumer_terms = 0;
-  std::uint64_t max_producer_terms = 0, max_consumer_terms = 0;
-  testing::run_program(
-      testing::tiny_machine(kProducers + kConsumers), [&](Rank& self) {
-        const bool producer = self.world_rank() < kProducers;
-        ChannelConfig cfg;
-        cfg.mapping = ChannelConfig::Mapping::Directed;
-        const Channel ch =
-            Channel::create(self, self.world(), producer, !producer, cfg);
-        Stream s = Stream::attach(ch, mpi::Datatype::int32(),
-                                  [](const StreamElement&) {});
-        if (producer) {
-          const int v = self.world_rank();
-          for (int c = 0; c < kConsumers; ++c)
-            s.isend_to(self, c, SendBuf::of(&v, 1));
-          s.terminate(self);
-          producer_terms += s.term_messages_sent();
-          max_producer_terms =
-              std::max(max_producer_terms, s.term_messages_sent());
-        } else {
-          EXPECT_EQ(s.operate(self), 3u);  // one element from each producer
-          consumer_terms += s.term_messages_sent();
-          max_consumer_terms =
-              std::max(max_consumer_terms, s.term_messages_sent());
-        }
-      });
-  EXPECT_EQ(max_producer_terms, 1u);  // the seed sent kConsumers per producer
-  EXPECT_LE(max_consumer_terms, 2u);  // binary-tree fan-out
-  EXPECT_EQ(producer_terms + consumer_terms,
-            static_cast<std::uint64_t>(kProducers + kConsumers - 1));
+  for (const auto mapping :
+       {ChannelConfig::Mapping::Directed, ChannelConfig::Mapping::Block}) {
+    SCOPED_TRACE(mapping == ChannelConfig::Mapping::Block ? "Block"
+                                                          : "Directed");
+    std::uint64_t producer_terms = 0, consumer_terms = 0;
+    std::uint64_t max_producer_terms = 0, max_consumer_terms = 0;
+    std::uint64_t consumed = 0;
+    testing::run_program(
+        testing::tiny_machine(kProducers + kConsumers), [&](Rank& self) {
+          const bool producer = self.world_rank() < kProducers;
+          ChannelConfig cfg;
+          cfg.mapping = mapping;
+          const Channel ch =
+              Channel::create(self, self.world(), producer, !producer, cfg);
+          Stream s = Stream::attach(ch, mpi::Datatype::int32(),
+                                    [](const StreamElement&) {});
+          if (producer) {
+            const int v = self.world_rank();
+            if (mapping == ChannelConfig::Mapping::Block) {
+              s.isend(self, SendBuf::of(&v, 1));
+            } else {
+              for (int c = 0; c < kConsumers; ++c)
+                s.isend_to(self, c, SendBuf::of(&v, 1));
+            }
+            s.terminate(self);
+            producer_terms += s.term_messages_sent();
+            max_producer_terms =
+                std::max(max_producer_terms, s.term_messages_sent());
+          } else {
+            const std::uint64_t n = s.operate(self);
+            // Directed: one element from each producer everywhere.
+            if (mapping == ChannelConfig::Mapping::Directed) {
+              EXPECT_EQ(n, 3u);
+            }
+            consumed += n;
+            consumer_terms += s.term_messages_sent();
+            max_consumer_terms =
+                std::max(max_consumer_terms, s.term_messages_sent());
+          }
+        });
+    EXPECT_EQ(consumed, mapping == ChannelConfig::Mapping::Block
+                            ? static_cast<std::uint64_t>(kProducers)
+                            : static_cast<std::uint64_t>(kProducers *
+                                                         kConsumers));
+    EXPECT_EQ(max_producer_terms, 1u);  // the seed sent kConsumers per producer
+    EXPECT_LE(max_consumer_terms, 2u);  // binary-tree fan-out
+    EXPECT_EQ(producer_terms + consumer_terms,
+              static_cast<std::uint64_t>(kProducers + kConsumers - 1));
+  }
+}
+
+TEST(Stream, BlockIsendToRejectsConsumersOtherThanThePeer) {
+  // A Block producer streams to its peer only: the credit clamp and the
+  // routing contract both assume one destination, so addressing another
+  // consumer is rejected before anything is sent. The peer still gets its
+  // element and the stream terminates with no send left unmatched.
+  mpi::Machine machine(testing::tiny_machine(4));
+  std::vector<std::uint64_t> consumed(2, 0);
+  machine.run([&](Rank& self) {
+    const bool producer = self.world_rank() < 2;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
+    Stream s = Stream::attach(ch, mpi::Datatype::int32(), {});
+    if (producer) {
+      const int p = ch.my_producer_index(self);
+      const int peer = ch.route(p, 0);
+      EXPECT_EQ(peer, p);  // 2 producers over 2 consumers
+      const int v = p;
+      EXPECT_THROW(s.isend_to(self, 1 - peer, SendBuf::of(&v, 1)),
+                   std::invalid_argument);
+      s.isend_to(self, peer, SendBuf::of(&v, 1));
+      s.terminate(self);
+    } else {
+      consumed[static_cast<std::size_t>(ch.my_consumer_index(self))] =
+          s.operate(self);
+    }
+  });
+  EXPECT_EQ(consumed, (std::vector<std::uint64_t>{1, 1}));
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
 }
 
 TEST(Stream, TreeTerminationDoesNotOvertakeInFlightData) {

@@ -244,6 +244,26 @@ TEST(P2P, UnmatchedRecvDeadlocks) {
                sim::DeadlockError);
 }
 
+TEST(P2P, AbortedRunUnwindsBlockedRanks) {
+  // A run that ends by exception still destroys what a blocked rank holds
+  // on its stack: the rank is fail-stopped and unwinds out of its wait.
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  mpi::Machine machine(testing::tiny_machine(2));
+  EXPECT_THROW(machine.run([&](Rank& self) {
+                 const Guard guard{&destroyed};
+                 if (self.world_rank() == 0) {
+                   int v;
+                   (void)self.recv(self.world(), 1, 0, RecvBuf::of(&v, 1));
+                 }
+               }),
+               sim::DeadlockError);
+  EXPECT_EQ(destroyed, 2);  // rank 1 returned; rank 0 unwound
+}
+
 TEST(P2P, TimingReflectsNetworkCosts) {
   const auto makespan = testing::run_program(
       testing::tiny_machine(2), [&](Rank& self) {

@@ -134,9 +134,11 @@ TEST(FailureMatrix, ProducerCrashTreeTerminationStillCompletes) {
 }
 
 TEST(FailureMatrix, ProducerCrashBlockExcludedFromExpectedTerms) {
-  // Block mapping: consumer 1's only producer dies before terminating. The
-  // consumer must observe the crash and strike the dead producer from its
-  // expected term count, or it waits forever on a term that cannot come.
+  // Block mapping: consumer 1's only producer dies before terminating, so
+  // its counted term never reaches the aggregator. The aggregator must
+  // observe the crash and complete the count matrix without the dead
+  // producer's row (its undurable tail is lost by definition), or every
+  // consumer waits forever on a term that cannot come.
   constexpr int kProducers = 2, kConsumers = 2, kEach = 60;
   auto config = testing::tiny_machine(kProducers + kConsumers);
   config.faults.crash(/*producer 1=*/1, util::microseconds(40));

@@ -269,10 +269,10 @@ TEST(StreamFailover, ManualDurabilityReplaysEverythingUnacked) {
 }
 
 TEST(StreamFailover, ZeroSendProducerTermRoutesToFailoverTarget) {
-  // A producer that never sent an element still has to repair its term
-  // routing: after its peer consumer crashes, the term must reach the
-  // adopting consumer (which raised its expected term count), or the
-  // adopter would wait forever on a term sitting in a dead mailbox.
+  // A producer that never sent an element still takes part in termination
+  // after its Block peer crashes: its empty counted term goes to the
+  // effective aggregator, whose release barrier must not wait on the dead
+  // consumer, or the adopting survivor would never be released.
   constexpr int kProducers = 2, kConsumers = 2;
   auto config = testing::tiny_machine(kProducers + kConsumers);
   config.faults.crash(/*world rank of consumer 1=*/3, util::microseconds(5));
