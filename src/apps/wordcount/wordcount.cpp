@@ -174,7 +174,7 @@ WordcountResult run_decoupled(const WordcountConfig& config,
         pipeline.stage({plan.workers().begin(), plan.workers().end()});
     decouple::StageHandle reduce_stage;
     if (!master_only)
-      reduce_stage = pipeline.stage([plan, master](int r) {
+      reduce_stage = pipeline.stage([&plan, master](int r) {
         return plan.is_helper(r) && r != master;
       });
     const auto master_stage = pipeline.stage(std::vector<int>{master});

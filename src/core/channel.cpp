@@ -25,9 +25,8 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
     // pays. Zero-initialized so a block satisfied by failure reads as "not
     // a member" instead of garbage.
     std::vector<std::int8_t> roles(static_cast<std::size_t>(size), 0);
-    const std::vector<std::size_t> counts(static_cast<std::size_t>(size), 1);
-    const mpi::Status st = self.allgatherv(
-        active, mpi::SendBuf::of(&my_role, 1), roles.data(), counts);
+    const mpi::Status st =
+        self.allgather(active, mpi::SendBuf::of(&my_role, 1), roles.data());
     // Commit the exchange through agreement: collective outcomes may
     // diverge when a crash races the last rounds (one rank completes clean
     // before the crash instant, its neighbor observes the failure), and a
@@ -47,7 +46,7 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
     const std::uint64_t ctx = mpi::Machine::derive_context(
         parent.context(), 0x5E7B4C0ull + static_cast<std::uint64_t>(attempt),
         config.channel_id);
-    active = mpi::Comm(ctx, mpi::Group(verdict.survivors));
+    active = self.machine().intern_comm(ctx, verdict.survivors);
   }
 }
 
@@ -62,55 +61,102 @@ Channel Channel::attach(mpi::Rank& self, const mpi::Comm& parent,
   return build(self, parent, roles, config);
 }
 
+namespace {
+
+/// Node-aware term-tree parents over the consumers' node ids. Leaders: the
+/// first consumer index on each node (scan order makes leader < every
+/// other consumer of its node, and leaders ascend). The first leader is
+/// consumer 0, so the aggregator never moves. Non-leaders hang off their
+/// node's leader (intra-node edges); leaders form a binary heap over their
+/// positions (the only cross-node edges). Both rules keep parent index <
+/// child index, so subtree walks ascend.
+std::vector<int> node_aware_parents(const std::vector<int>& consumer_node) {
+  const int consumers = static_cast<int>(consumer_node.size());
+  if (consumers <= 1) return {};  // a single consumer needs no tree
+  std::vector<int> parent(static_cast<std::size_t>(consumers), -1);
+  std::map<int, int> leader_on_node;
+  std::vector<int> leaders;
+  for (int c = 0; c < consumers; ++c) {
+    const auto [it, inserted] =
+        leader_on_node.emplace(consumer_node[static_cast<std::size_t>(c)], c);
+    if (inserted)
+      leaders.push_back(c);
+    else
+      parent[static_cast<std::size_t>(c)] = it->second;
+  }
+  for (std::size_t j = 1; j < leaders.size(); ++j)
+    parent[static_cast<std::size_t>(leaders[j])] = leaders[(j - 1) / 2];
+  return parent;
+}
+
+}  // namespace
+
+std::shared_ptr<const Channel::Shape> Channel::make_shape(
+    const mpi::Machine& machine, const mpi::Comm& parent,
+    const std::vector<std::int8_t>& roles, bool node_aware_term,
+    std::uint64_t context) {
+  auto shape = std::make_shared<Shape>();
+  shape->parent = parent;
+  shape->roles = roles;
+  shape->node_aware_term = node_aware_term;
+  const int size = parent.size();
+  std::vector<int> members;  // world ranks: producers first, then consumers
+  for (const std::int8_t role : {std::int8_t{1}, std::int8_t{2}})
+    for (int r = 0; r < size; ++r)
+      if (roles[static_cast<std::size_t>(r)] == role)
+        members.push_back(parent.world_rank(r));
+  shape->producers = static_cast<int>(
+      std::count(roles.begin(), roles.end(), std::int8_t{1}));
+  shape->consumers = static_cast<int>(members.size()) - shape->producers;
+  if (shape->producers == 0 || shape->consumers == 0)
+    throw std::invalid_argument(
+        "Channel::create: need at least one producer and one consumer");
+  // Where each consumer lives (the machine's node structure is the same on
+  // every rank), and the term tree shaped from it when asked.
+  const int per_node = machine.config().network.ranks_per_node;
+  shape->consumer_node.reserve(static_cast<std::size_t>(shape->consumers));
+  for (std::size_t i = static_cast<std::size_t>(shape->producers);
+       i < members.size(); ++i)
+    shape->consumer_node.push_back(per_node > 0 ? members[i] / per_node
+                                                : members[i]);
+  if (node_aware_term)
+    shape->term_parent = node_aware_parents(shape->consumer_node);
+  shape->comm = mpi::Comm(context, mpi::Group(std::move(members)));
+  return shape;
+}
+
 Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
                        const std::vector<std::int8_t>& roles,
                        ChannelConfig config) {
-  const int size = parent.size();
-  std::vector<int> members;  // world ranks: producers first, then consumers
-  int producers = 0;
-  for (int r = 0; r < size; ++r)
-    if (roles[static_cast<std::size_t>(r)] == 1) {
-      members.push_back(parent.world_rank(r));
-      ++producers;
-    }
-  int consumers = 0;
-  for (int r = 0; r < size; ++r)
-    if (roles[static_cast<std::size_t>(r)] == 2) {
-      members.push_back(parent.world_rank(r));
-      ++consumers;
-    }
-  if (producers == 0 || consumers == 0)
-    throw std::invalid_argument(
-        "Channel::create: need at least one producer and one consumer");
-
-  Channel ch;
-  ch.config_ = config;
-  ch.producer_count_ = producers;
-  ch.consumer_count_ = consumers;
-  // Record where each consumer lives (the machine's node structure is the
-  // same on every rank, so this is collectively consistent), and shape the
-  // term tree from it when asked.
-  const auto& network = self.machine().config().network;
-  ch.consumer_node_.reserve(static_cast<std::size_t>(consumers));
-  for (int c = 0; c < consumers; ++c) {
-    const int world = members[static_cast<std::size_t>(producers + c)];
-    ch.consumer_node_.push_back(
-        network.ranks_per_node > 0 ? world / network.ranks_per_node : world);
-  }
-  if (config.node_aware_term)
-    ch.build_node_aware_tree();
   const std::uint64_t ctx = mpi::Machine::derive_context(
       parent.context(), 0xC4A77E1ull, config.channel_id);
-  const mpi::Comm channel_comm(ctx, mpi::Group(std::move(members)));
+  mpi::Machine& machine = self.machine();
+  const bool node_aware = config.node_aware_term;
+  // A hit needs the same role vector over the same parent members: a
+  // channel id reused (back-to-back pipelines, a retry over other
+  // survivors) derives the same context with a different shape.
+  auto shape = machine.intern<Shape>(
+      ctx,
+      [&](const Shape& s) {
+        return s.node_aware_term == node_aware && s.roles == roles &&
+               (&s.parent.group() == &parent.group() ||
+                s.parent.group() == parent.group());
+      },
+      [&] { return make_shape(machine, parent, roles, node_aware, ctx); });
+
+  Channel ch;
+  ch.config_ = std::move(config);
+  ch.producer_count_ = shape->producers;
+  ch.consumer_count_ = shape->consumers;
   // Non-members keep an invalid comm -> inert handle.
-  if (channel_comm.rank_of_world(self.world_rank()) >= 0) {
-    ch.comm_ = channel_comm;
-    if (config.resilient()) {
+  if (shape->comm.rank_of_world(self.world_rank()) >= 0) {
+    ch.comm_ = shape->comm;
+    if (ch.config_.resilient()) {
       // Every member of the same channel fetches the same machine-hosted
       // ledger; deactivations are idempotent, so concurrent builders agree.
-      ch.ledger_ = self.machine().membership_ledger(ctx, consumers);
-      for (const int c : config.initially_inactive_consumers) {
-        if (c < 0 || c >= consumers)
+      ch.ledger_ = machine.membership_ledger(ctx, ch.consumer_count_);
+      for (const int c : ch.config_.initially_inactive_consumers) {
+        if (c < 0 || c >= ch.consumer_count_)
           throw std::invalid_argument(
               "Channel: initially_inactive_consumers slot outside the "
               "consumer group");
@@ -118,6 +164,7 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
       }
     }
   }
+  ch.shape_ = std::move(shape);
   return ch;
 }
 
@@ -191,41 +238,13 @@ int Channel::route(int producer, std::uint64_t seq) const noexcept {
   return block_route(producer, producer_count_, consumer_count_);
 }
 
-void Channel::build_node_aware_tree() {
-  const int consumers = consumer_count_;
-  if (consumers <= 1) return;  // a single consumer needs no tree
-  term_parent_.assign(static_cast<std::size_t>(consumers), -1);
-
-  // Leaders: the first consumer index on each node (scan order makes
-  // leader < every other consumer of its node, and leaders ascend). The
-  // first leader is consumer 0, so the aggregator never moves.
-  std::map<int, int> leader_on_node;
-  std::vector<int> leaders;
-  std::vector<int> leader_of(static_cast<std::size_t>(consumers));
-  for (int c = 0; c < consumers; ++c) {
-    const auto [it, inserted] =
-        leader_on_node.emplace(consumer_node_[static_cast<std::size_t>(c)], c);
-    if (inserted) leaders.push_back(c);
-    leader_of[static_cast<std::size_t>(c)] = it->second;
-  }
-  // Non-leaders hang off their node's leader (intra-node edges); leaders
-  // form a binary heap over their positions (the only cross-node edges).
-  // Both rules keep parent index < child index, so subtree walks ascend.
-  for (int c = 0; c < consumers; ++c)
-    if (leader_of[static_cast<std::size_t>(c)] != c)
-      term_parent_[static_cast<std::size_t>(c)] =
-          leader_of[static_cast<std::size_t>(c)];
-  for (std::size_t j = 1; j < leaders.size(); ++j)
-    term_parent_[static_cast<std::size_t>(leaders[j])] = leaders[(j - 1) / 2];
-}
-
 std::vector<int> Channel::term_children(int consumer) const {
   std::vector<int> children;
-  if (!term_parent_.empty()) {
+  if (node_aware_term()) {
     // Parents always precede children, so scanning above `consumer` is
     // exhaustive. O(C), but only on the termination path.
     for (int c = consumer + 1; c < consumer_count_; ++c)
-      if (term_parent_[static_cast<std::size_t>(c)] == consumer)
+      if (shape_->term_parent[static_cast<std::size_t>(c)] == consumer)
         children.push_back(c);
     return children;
   }
@@ -237,7 +256,7 @@ std::vector<int> Channel::term_children(int consumer) const {
 }
 
 int Channel::term_tree_depth() const noexcept {
-  if (!term_parent_.empty()) {
+  if (node_aware_term()) {
     int max_depth = 0;
     for (int leaf = 1; leaf < consumer_count_; ++leaf) {
       int depth = 0;
@@ -252,13 +271,11 @@ int Channel::term_tree_depth() const noexcept {
 }
 
 int Channel::term_cross_node_edges() const noexcept {
-  if (consumer_node_.empty()) return 0;
+  if (!shape_) return 0;
   int edges = 0;
   for (int c = 1; c < consumer_count_; ++c) {
     const int parent = term_parent_of(c);
-    if (parent >= 0 && consumer_node_[static_cast<std::size_t>(c)] !=
-                           consumer_node_[static_cast<std::size_t>(parent)])
-      ++edges;
+    if (parent >= 0 && consumer_node(c) != consumer_node(parent)) ++edges;
   }
   return edges;
 }

@@ -224,13 +224,15 @@ class Channel {
   /// when enabled, the flat heap otherwise). Both shapes guarantee
   /// parent < child, so subtree walks ascend strictly.
   [[nodiscard]] int term_parent_of(int consumer) const noexcept {
-    if (!term_parent_.empty())
-      return consumer <= 0 ? -1 : term_parent_[static_cast<std::size_t>(consumer)];
+    if (node_aware_term())
+      return consumer <= 0
+                 ? -1
+                 : shape_->term_parent[static_cast<std::size_t>(consumer)];
     return term_parent(consumer);
   }
   /// True when the channel built a node-aware term tree.
   [[nodiscard]] bool node_aware_term() const noexcept {
-    return !term_parent_.empty();
+    return shape_ && !shape_->term_parent.empty();
   }
   /// Tree children of consumer `c` under this channel's tree shape.
   [[nodiscard]] std::vector<int> term_children(int consumer) const;
@@ -258,9 +260,8 @@ class Channel {
   [[nodiscard]] int term_cross_node_edges() const noexcept;
   /// Node id of consumer `c` on the machine the channel was created on.
   [[nodiscard]] int consumer_node(int consumer) const noexcept {
-    return consumer_node_.empty()
-               ? 0
-               : consumer_node_[static_cast<std::size_t>(consumer)];
+    return shape_ ? shape_->consumer_node[static_cast<std::size_t>(consumer)]
+                  : 0;
   }
   /// Channel rank (in comm()) of producer p / consumer c.
   [[nodiscard]] static int producer_rank(int p) noexcept { return p; }
@@ -292,19 +293,35 @@ class Channel {
   void admit_consumer(mpi::Rank& self, int c) const;
 
  private:
-  void build_node_aware_tree();
+  /// The read-only part of a channel. Every rank that builds the channel
+  /// derives the same shape from the role vector, so it is interned once
+  /// per machine (Machine::intern, keyed by the channel context) and each
+  /// rank holds a pointer, not a copy.
+  struct Shape {
+    mpi::Comm parent;                ///< communicator the roles index
+    std::vector<std::int8_t> roles;  ///< per parent rank, as exchanged
+    bool node_aware_term = false;
+    int producers = 0;
+    int consumers = 0;
+    mpi::Comm comm;                  ///< producers, then consumers
+    std::vector<int> consumer_node;  ///< node id per consumer
+    std::vector<int> term_parent;    ///< node-aware parents (empty = flat heap)
+  };
+
   static Channel build(mpi::Rank& self, const mpi::Comm& parent,
                        const std::vector<std::int8_t>& roles,
                        ChannelConfig config);
+  static std::shared_ptr<const Shape> make_shape(
+      const mpi::Machine& machine, const mpi::Comm& parent,
+      const std::vector<std::int8_t>& roles, bool node_aware_term,
+      std::uint64_t context);
 
   ChannelConfig config_{};
-  mpi::Comm comm_{};
+  mpi::Comm comm_{};  ///< the shape's comm on members; invalid otherwise
   int producer_count_ = 0;
   int consumer_count_ = 0;
-  /// Node id per consumer (filled at create; empty for inert handles).
-  std::vector<int> consumer_node_;
-  /// Node-aware term-tree parents (empty = flat heap shape).
-  std::vector<int> term_parent_;
+  /// Shared with every rank of the channel (null for default handles).
+  std::shared_ptr<const Shape> shape_;
   /// Shared membership ledger (resilient channels; null otherwise).
   std::shared_ptr<resilience::MembershipLedger> ledger_;
 };

@@ -19,6 +19,30 @@ namespace {
 /// same parent must be disambiguated with with_channel_base.
 constexpr std::uint64_t kChannelIdBase = 0xDC00;
 
+/// Salt of the key pipeline layouts are interned under.
+constexpr std::uint64_t kLayoutSalt = 0x1A7047ull;
+
+/// Sort ascending and drop duplicates; declarations usually arrive sorted.
+void sort_unique(std::vector<int>& ranks) {
+  if (!std::is_sorted(ranks.begin(), ranks.end()))
+    std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+}
+
+/// True when two ascending rank lists share a rank (one linear merge).
+bool sorted_overlap(const std::vector<int>& a, const std::vector<int>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i == *j) return true;
+    if (*i < *j)
+      ++i;
+    else
+      ++j;
+  }
+  return false;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ ScopedChannel --
@@ -175,50 +199,66 @@ std::uint32_t adaptive_record_count(const RawElement& element) {
   return header.records;
 }
 
+// ------------------------------------------------------------------- Layout --
+
+/// A pipeline's split and stages, with every per-rank lookup precomputed.
+/// Each rank of the pipeline declares the same split and stages, so the
+/// first rank to run builds this (linear in the parent size) and the rest
+/// share it through Machine::intern.
+struct Pipeline::Layout {
+  std::uint64_t parent_context = 0;
+  std::vector<int> workers;              ///< parent ranks, ascending
+  std::vector<int> helpers;              ///< parent ranks, ascending
+  std::vector<std::vector<int>> stages;  ///< parent ranks per stage, ascending
+  struct Place {
+    bool helper = false;
+    int group_index = -1;  ///< index among the workers, or among the helpers
+    int stage = -1;        ///< -1: in no stage
+    int stage_index = -1;  ///< position within the stage
+  };
+  std::vector<Place> place;  ///< by parent rank
+
+  [[nodiscard]] const Place& at(int parent_rank) const {
+    return place[static_cast<std::size_t>(parent_rank)];
+  }
+};
+
 // ------------------------------------------------------------------ Context --
 
 mpi::Rank& Context::self() const noexcept { return *pipeline_->self_; }
 
 const mpi::Comm& Context::parent() const noexcept { return pipeline_->parent_; }
 
-int Context::parent_rank() const noexcept {
-  return self().rank_in(pipeline_->parent_);
-}
+int Context::parent_rank() const noexcept { return parent_rank_; }
 
 bool Context::is_worker() const noexcept {
-  return !pipeline_->is_helper_rank(parent_rank());
+  return !pipeline_->layout_->at(parent_rank_).helper;
 }
 
 int Context::worker_index() const noexcept {
-  const auto& workers = pipeline_->workers_;
-  const auto it = std::lower_bound(workers.begin(), workers.end(), parent_rank());
-  return it != workers.end() && *it == parent_rank()
-             ? static_cast<int>(it - workers.begin())
-             : -1;
+  const auto& place = pipeline_->layout_->at(parent_rank_);
+  return place.helper ? -1 : place.group_index;
 }
 
 int Context::helper_index() const noexcept {
-  const auto& helpers = pipeline_->helpers_;
-  const auto it = std::lower_bound(helpers.begin(), helpers.end(), parent_rank());
-  return it != helpers.end() && *it == parent_rank()
-             ? static_cast<int>(it - helpers.begin())
-             : -1;
+  const auto& place = pipeline_->layout_->at(parent_rank_);
+  return place.helper ? place.group_index : -1;
 }
 
 int Context::worker_count() const noexcept {
-  return static_cast<int>(pipeline_->workers_.size());
+  return static_cast<int>(workers().size());
 }
 
 int Context::helper_count() const noexcept {
-  return static_cast<int>(pipeline_->helpers_.size());
+  return static_cast<int>(helpers().size());
 }
 
 const std::vector<int>& Context::workers() const noexcept {
-  return pipeline_->workers_;
+  return pipeline_->layout_->workers;
 }
 
 const std::vector<int>& Context::helpers() const noexcept {
-  return pipeline_->helpers_;
+  return pipeline_->layout_->helpers;
 }
 
 int Context::helper_of(int worker) const noexcept {
@@ -227,9 +267,9 @@ int Context::helper_of(int worker) const noexcept {
 }
 
 double Context::alpha() const noexcept {
-  const auto total = pipeline_->workers_.size() + pipeline_->helpers_.size();
+  const auto total = workers().size() + helpers().size();
   return total == 0 ? 0.0
-                    : static_cast<double>(pipeline_->helpers_.size()) /
+                    : static_cast<double>(helpers().size()) /
                           static_cast<double>(total);
 }
 
@@ -241,19 +281,15 @@ const mpi::Comm& Context::worker_comm() const {
 }
 
 int Context::stage_count() const noexcept {
-  return static_cast<int>(pipeline_->stages_.size());
+  return static_cast<int>(pipeline_->layout_->stages.size());
 }
 
 int Context::stage_index() const noexcept {
-  return pipeline_->stage_of(parent_rank());
+  return pipeline_->layout_->at(parent_rank_).stage;
 }
 
 int Context::stage_member_index() const noexcept {
-  const int stage = stage_index();
-  if (stage < 0) return -1;
-  const auto& ranks = pipeline_->stages_[static_cast<std::size_t>(stage)];
-  const auto it = std::lower_bound(ranks.begin(), ranks.end(), parent_rank());
-  return static_cast<int>(it - ranks.begin());
+  return pipeline_->layout_->at(parent_rank_).stage_index;
 }
 
 int Context::stage_size(int stage) const {
@@ -267,7 +303,7 @@ int Context::stage_size(StageHandle stage) const {
 const std::vector<int>& Context::stage_ranks(int stage) const {
   if (stage < 0 || stage >= stage_count())
     throw std::logic_error("decouple: stage index out of range");
-  return pipeline_->stages_[static_cast<std::size_t>(stage)];
+  return pipeline_->layout_->stages[static_cast<std::size_t>(stage)];
 }
 
 StreamBase& Context::slot(int index) const {
@@ -290,13 +326,12 @@ Pipeline Pipeline::over(mpi::Rank& self, const mpi::Comm& parent) {
 void Pipeline::set_split(std::vector<int> helpers) {
   if (split_configured_)
     throw std::logic_error("Pipeline: split already configured");
-  std::sort(helpers.begin(), helpers.end());
-  helpers.erase(std::unique(helpers.begin(), helpers.end()), helpers.end());
-  workers_.clear();
-  for (int r = 0; r < parent_.size(); ++r)
-    if (!std::binary_search(helpers.begin(), helpers.end(), r))
-      workers_.push_back(r);
-  if (workers_.empty() || helpers.empty())
+  sort_unique(helpers);
+  if (!helpers.empty() &&
+      (helpers.front() < 0 || helpers.back() >= parent_.size()))
+    throw std::invalid_argument(
+        "Pipeline: helper rank outside the parent communicator");
+  if (helpers.empty() || static_cast<int>(helpers.size()) == parent_.size())
     throw std::invalid_argument(
         "Pipeline: need at least one worker and one helper");
   helpers_ = std::move(helpers);
@@ -317,10 +352,6 @@ Pipeline& Pipeline::with_plan(const stream::GroupPlan& plan) & {
 }
 
 Pipeline& Pipeline::with_helper_ranks(std::vector<int> helpers) & {
-  for (const int h : helpers)
-    if (h < 0 || h >= parent_.size())
-      throw std::invalid_argument(
-          "Pipeline::with_helper_ranks: rank outside the parent communicator");
   set_split(std::move(helpers));
   return *this;
 }
@@ -341,7 +372,6 @@ Pipeline& Pipeline::with_node_placement(int helpers_per_node) & {
     throw std::invalid_argument(
         "Pipeline::with_node_placement: no node hosts two members of the "
         "parent communicator (nothing to co-locate)");
-  std::sort(helpers.begin(), helpers.end());
   set_split(std::move(helpers));
   return *this;
 }
@@ -365,40 +395,36 @@ Pipeline& Pipeline::with_resilience(resilience::ResilienceOptions options) & {
   return *this;
 }
 
-bool Pipeline::is_helper_rank(int parent_rank) const noexcept {
-  return std::binary_search(helpers_.begin(), helpers_.end(), parent_rank);
-}
-
 int Pipeline::add_slot(std::unique_ptr<StreamBase> stream,
-                       std::size_t element_bytes, StreamOptions options) {
+                       std::size_t element_bytes, StreamOptions options,
+                       StageLink link) {
   if (ran_)
     throw std::logic_error("Pipeline: streams must be declared before run()");
-  slots_.push_back(Slot{std::move(stream), element_bytes, std::move(options)});
+  slots_.push_back(
+      Slot{std::move(stream), element_bytes, std::move(options), link});
   return static_cast<int>(slots_.size()) - 1;
 }
 
 RawStreamHandle Pipeline::raw_stream(std::size_t element_bytes,
                                      StreamOptions options) {
   return RawStreamHandle(
-      add_slot(std::make_unique<RawStream>(), element_bytes, std::move(options)));
+      add_slot(std::make_unique<RawStream>(), element_bytes, std::move(options),
+               StageLink{}));
 }
 
 StageHandle Pipeline::stage(std::vector<int> parent_ranks) {
   if (ran_)
     throw std::logic_error("Pipeline: stages must be declared before run()");
-  std::sort(parent_ranks.begin(), parent_ranks.end());
-  parent_ranks.erase(std::unique(parent_ranks.begin(), parent_ranks.end()),
-                     parent_ranks.end());
+  sort_unique(parent_ranks);
   if (parent_ranks.empty())
     throw std::invalid_argument("Pipeline::stage: stage must not be empty");
-  for (const int r : parent_ranks) {
-    if (r < 0 || r >= parent_.size())
-      throw std::invalid_argument(
-          "Pipeline::stage: rank outside the parent communicator");
-    if (stage_of(r) >= 0)
+  if (parent_ranks.front() < 0 || parent_ranks.back() >= parent_.size())
+    throw std::invalid_argument(
+        "Pipeline::stage: rank outside the parent communicator");
+  for (const auto& earlier : stages_)
+    if (sorted_overlap(earlier, parent_ranks))
       throw std::invalid_argument(
           "Pipeline::stage: stages must be pairwise disjoint");
-  }
   stages_.push_back(std::move(parent_ranks));
   return StageHandle(static_cast<int>(stages_.size()) - 1);
 }
@@ -411,15 +437,8 @@ StageHandle Pipeline::stage(const RolePredicate& member) {
   return stage(std::move(ranks));
 }
 
-int Pipeline::stage_of(int parent_rank) const noexcept {
-  for (std::size_t i = 0; i < stages_.size(); ++i)
-    if (std::binary_search(stages_[i].begin(), stages_[i].end(), parent_rank))
-      return static_cast<int>(i);
-  return -1;
-}
-
-void Pipeline::link_stages(StageHandle from, StageHandle to,
-                           StreamOptions& options) const {
+Pipeline::StageLink Pipeline::link_stages(StageHandle from,
+                                          StageHandle to) const {
   const auto stage_count = static_cast<int>(stages_.size());
   if (from.index_ < 0 || from.index_ >= stage_count || to.index_ < 0 ||
       to.index_ >= stage_count)
@@ -428,23 +447,14 @@ void Pipeline::link_stages(StageHandle from, StageHandle to,
   if (from.index_ == to.index_)
     throw std::invalid_argument(
         "decouple: a stage cannot stream to itself (groups must be disjoint)");
-  // Capture by value: the predicates outlive this call and must stay pure
-  // functions of the rank number (they derive the collective channel roles).
-  options.producers = [ranks = stages_[static_cast<std::size_t>(from.index_)]](
-                          int r) {
-    return std::binary_search(ranks.begin(), ranks.end(), r);
-  };
-  options.consumers = [ranks = stages_[static_cast<std::size_t>(to.index_)]](
-                          int r) {
-    return std::binary_search(ranks.begin(), ranks.end(), r);
-  };
+  return StageLink{from.index_, to.index_};
 }
 
 RawStreamHandle Pipeline::raw_stream_between(StageHandle from, StageHandle to,
                                              std::size_t element_bytes,
                                              StreamOptions options) {
-  link_stages(from, to, options);
-  return raw_stream(element_bytes, std::move(options));
+  return RawStreamHandle(add_slot(std::make_unique<RawStream>(), element_bytes,
+                                  std::move(options), link_stages(from, to)));
 }
 
 RawStreamHandle Pipeline::adaptive_stream(std::size_t record_bytes,
@@ -456,7 +466,7 @@ RawStreamHandle Pipeline::adaptive_stream(std::size_t record_bytes,
   return RawStreamHandle(add_slot(
       std::move(stream),
       stream::AdaptiveBatcher::element_bytes(record_bytes, adaptive.max_records),
-      std::move(options)));
+      std::move(options), StageLink{}));
 }
 
 void Pipeline::run(const RoleFn& worker_fn, const RoleFn& helper_fn) {
@@ -465,31 +475,65 @@ void Pipeline::run(const RoleFn& worker_fn, const RoleFn& helper_fn) {
         "Pipeline::run: declare a split first (with_stride / with_alpha / "
         "with_plan / with_helper_ranks)");
   if (ran_) throw std::logic_error("Pipeline::run: pipeline already ran");
-  const bool worker = !is_helper_rank(self_->rank_in(parent_));
+  intern_layout();
+  const bool worker = !layout_->at(self_->rank_in(parent_)).helper;
   launch(worker ? worker_fn : helper_fn);
 }
 
 void Pipeline::run_stages(const std::vector<RoleFn>& stage_fns) {
+  if (ran_) throw std::logic_error("Pipeline::run_stages: pipeline already ran");
   if (stages_.size() < 2)
     throw std::logic_error(
         "Pipeline::run_stages: declare at least two stages first");
   if (stage_fns.size() != stages_.size())
     throw std::invalid_argument(
         "Pipeline::run_stages: need exactly one function per declared stage");
-  if (ran_) throw std::logic_error("Pipeline::run_stages: pipeline already ran");
-  // The chain induces the worker/helper split: the first stage is the worker
-  // group, every other rank (later stages and unassigned) is a helper. A
-  // split declared explicitly (with_plan etc.) is kept as-is.
-  if (!split_configured_) {
-    std::vector<int> helpers;
-    for (int r = 0; r < parent_.size(); ++r)
-      if (!std::binary_search(stages_.front().begin(), stages_.front().end(), r))
-        helpers.push_back(r);
-    set_split(std::move(helpers));
-  }
-  const int my_stage = stage_of(self_->rank_in(parent_));
+  intern_layout();
+  const int my_stage = layout_->at(self_->rank_in(parent_)).stage;
   launch(my_stage >= 0 ? stage_fns[static_cast<std::size_t>(my_stage)]
                        : RoleFn{});
+}
+
+void Pipeline::intern_layout() {
+  // The chain induces the worker/helper split unless one was declared: the
+  // first stage is the worker group, every other rank (later stages and
+  // unassigned) is a helper. Comparing that way needs no helper list.
+  const auto matches = [&](const Layout& l) {
+    return l.parent_context == parent_.context() &&
+           static_cast<int>(l.place.size()) == parent_.size() &&
+           l.stages == stages_ &&
+           (split_configured_ ? l.helpers == helpers_
+                              : l.workers == stages_.front());
+  };
+  const auto build = [&] {
+    auto layout = std::make_shared<Layout>();
+    layout->parent_context = parent_.context();
+    layout->place.resize(static_cast<std::size_t>(parent_.size()));
+    for (std::size_t s = 0; s < stages_.size(); ++s)
+      for (std::size_t k = 0; k < stages_[s].size(); ++k) {
+        Layout::Place& place =
+            layout->place[static_cast<std::size_t>(stages_[s][k])];
+        place.stage = static_cast<int>(s);
+        place.stage_index = static_cast<int>(k);
+      }
+    for (const int h : helpers_)
+      layout->place[static_cast<std::size_t>(h)].helper = true;
+    for (int r = 0; r < parent_.size(); ++r) {
+      Layout::Place& place = layout->place[static_cast<std::size_t>(r)];
+      if (!split_configured_) place.helper = place.stage != 0;
+      auto& group = place.helper ? layout->helpers : layout->workers;
+      place.group_index = static_cast<int>(group.size());
+      group.push_back(r);
+    }
+    layout->stages = std::move(stages_);
+    return std::shared_ptr<const Layout>(std::move(layout));
+  };
+  layout_ = self_->machine().intern<Layout>(
+      mpi::Machine::derive_context(parent_.context(), kLayoutSalt,
+                                   stages_.size()),
+      matches, build);
+  helpers_ = std::vector<int>();
+  stages_ = std::vector<std::vector<int>>();
 }
 
 void Pipeline::launch(const RoleFn& role_fn) {
@@ -497,7 +541,7 @@ void Pipeline::launch(const RoleFn& role_fn) {
 
   mpi::Rank& self = *self_;
   const int me = self.rank_in(parent_);
-  const bool worker = !is_helper_rank(me);
+  const bool worker = !layout_->at(me).helper;
 
   // A restarted incarnation rejoins a pipeline whose surviving members are
   // mid-run: no collective step can happen (peers are not at a matching
@@ -536,13 +580,19 @@ void Pipeline::launch(const RoleFn& role_fn) {
     }
     const bool to_helpers = slot.options.direction == Direction::ToHelpers;
     const auto role_of = [&](int r) -> std::int8_t {
-      const bool w = !is_helper_rank(r);
-      const bool produce = slot.options.producers
-                               ? slot.options.producers(r)
-                               : (to_helpers ? w : !w);
-      const bool consume = slot.options.consumers
-                               ? slot.options.consumers(r)
-                               : (to_helpers ? !w : w);
+      const Layout::Place& place = layout_->at(r);
+      bool produce = false;
+      bool consume = false;
+      if (slot.link.from >= 0) {
+        produce = place.stage == slot.link.from;
+        consume = place.stage == slot.link.to;
+      } else {
+        const bool w = !place.helper;
+        produce = slot.options.producers ? slot.options.producers(r)
+                                         : (to_helpers ? w : !w);
+        consume = slot.options.consumers ? slot.options.consumers(r)
+                                         : (to_helpers ? !w : w);
+      }
       return produce ? std::int8_t{1} : (consume ? std::int8_t{2} : std::int8_t{0});
     };
     ScopedChannel channel;
@@ -561,7 +611,7 @@ void Pipeline::launch(const RoleFn& role_fn) {
                       /*stream_id=*/i + 1);
   }
 
-  Context context(*this);
+  Context context(*this, me);
   if (role_fn) role_fn(context);
 
   // RAII half of the termination protocol: whatever this rank produced is

@@ -38,7 +38,10 @@
 // Collective discipline: every member of the parent communicator must
 // declare the same split (or stages) and the same streams in the same order,
 // then call run() / run_stages(). Stream declaration order doubles as the
-// channel-creation order.
+// channel-creation order. Because every rank declares the same split, the
+// run interns it once per machine (Machine::intern): ranks share one
+// read-only layout of workers, helpers, stages and per-rank lookups, and
+// keep no table sized by the parent communicator of their own.
 #pragma once
 
 #include <cstddef>
@@ -539,7 +542,8 @@ class Context {
   [[nodiscard]] int helper_index() const noexcept;
   [[nodiscard]] int worker_count() const noexcept;
   [[nodiscard]] int helper_count() const noexcept;
-  /// Parent-comm ranks, ascending.
+  /// Parent-comm ranks, ascending. References into the pipeline's layout,
+  /// which every rank of the pipeline shares (one copy per machine).
   [[nodiscard]] const std::vector<int>& workers() const noexcept;
   [[nodiscard]] const std::vector<int>& helpers() const noexcept;
   /// Balanced block assignment of workers to helpers: the helper index
@@ -561,7 +565,8 @@ class Context {
   /// Member count of stage `stage`.
   [[nodiscard]] int stage_size(int stage) const;
   [[nodiscard]] int stage_size(StageHandle stage) const;
-  /// Parent-comm ranks of stage `stage`, ascending.
+  /// Parent-comm ranks of stage `stage`, ascending (shared storage, like
+  /// workers()).
   [[nodiscard]] const std::vector<int>& stage_ranks(int stage) const;
 
   template <typename Record>
@@ -574,10 +579,12 @@ class Context {
 
  private:
   friend class Pipeline;
-  explicit Context(Pipeline& pipeline) : pipeline_(&pipeline) {}
+  Context(Pipeline& pipeline, int parent_rank)
+      : pipeline_(&pipeline), parent_rank_(parent_rank) {}
   [[nodiscard]] StreamBase& slot(int index) const;
 
   Pipeline* pipeline_;
+  int parent_rank_;
 };
 
 /// The pipeline builder/runner. Declare the split and the streams (same
@@ -648,7 +655,7 @@ class Pipeline {
                                             StreamOptions options = {}) {
     return StreamHandle<Record>(add_slot(std::make_unique<TypedStream<Record>>(),
                                          sizeof(Record) + max_payload_bytes,
-                                         std::move(options)));
+                                         std::move(options), StageLink{}));
   }
   /// A payload-only stream of `element_bytes`-sized elements.
   [[nodiscard]] RawStreamHandle raw_stream(std::size_t element_bytes,
@@ -677,8 +684,10 @@ class Pipeline {
                                                     StageHandle to,
                                                     std::size_t max_payload_bytes = 0,
                                                     StreamOptions options = {}) {
-    link_stages(from, to, options);
-    return stream<Record>(max_payload_bytes, std::move(options));
+    return StreamHandle<Record>(
+        add_slot(std::make_unique<TypedStream<Record>>(),
+                 sizeof(Record) + max_payload_bytes, std::move(options),
+                 link_stages(from, to)));
   }
   /// Payload-only variant of stream_between.
   [[nodiscard]] RawStreamHandle raw_stream_between(StageHandle from,
@@ -704,27 +713,40 @@ class Pipeline {
   friend class Context;
   Pipeline(mpi::Rank& self, mpi::Comm parent);
 
+  /// The split and the stages as one immutable table, interned once per
+  /// machine when the pipeline runs (defined in decouple.cpp).
+  struct Layout;
+
+  /// Stage indices of a stream_between link (-1: not stage-linked).
+  struct StageLink {
+    int from = -1;
+    int to = -1;
+  };
+
   struct Slot {
     std::unique_ptr<StreamBase> stream;
     std::size_t element_bytes = 0;
     StreamOptions options;
+    StageLink link;
   };
 
   int add_slot(std::unique_ptr<StreamBase> stream, std::size_t element_bytes,
-               StreamOptions options);
+               StreamOptions options, StageLink link);
   void set_split(std::vector<int> helpers);
-  [[nodiscard]] bool is_helper_rank(int parent_rank) const noexcept;
-  /// Fill `options`' endpoint predicates from two declared stages.
-  void link_stages(StageHandle from, StageHandle to, StreamOptions& options) const;
-  [[nodiscard]] int stage_of(int parent_rank) const noexcept;
+  /// Validate two declared stages as the endpoints of a stream.
+  [[nodiscard]] StageLink link_stages(StageHandle from, StageHandle to) const;
+  /// Fetch (or build) the machine's shared layout for the declared split
+  /// and stages, then drop the declaration copies.
+  void intern_layout();
   /// Channel creation + role dispatch + RAII termination for this rank.
   void launch(const RoleFn& role_fn);
 
   mpi::Rank* self_;
   mpi::Comm parent_;
-  std::vector<int> workers_;
-  std::vector<int> helpers_;
+  // Declarations, held only until run() interns them into layout_.
+  std::vector<int> helpers_;              ///< sorted explicit helper ranks
   std::vector<std::vector<int>> stages_;  ///< sorted parent ranks per stage
+  std::shared_ptr<const Layout> layout_;
   bool split_configured_ = false;
   bool want_worker_comm_ = false;
   bool ran_ = false;

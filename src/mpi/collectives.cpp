@@ -12,7 +12,8 @@
 //   bcast      — binomial tree
 //   reduce     — binomial tree (children combined in order)
 //   allreduce  — reduce to 0 + bcast (2 log P rounds)
-//   allgatherv — ring, P-1 rounds
+//   allgatherv — recursive doubling (P a power of two), else ring, P-1 rounds
+//   allgather  — allgatherv with equal blocks, no count tables
 //   alltoallv  — pairwise exchange, P-1 rounds
 //   gatherv    — flat tree into root (root's drain port is the bottleneck,
 //                deliberately: that is the paper's master-congestion effect)
@@ -281,38 +282,47 @@ struct IreduceOp final : CollBase {
 // ------------------------------------------------------------- allgatherv --
 // Recursive doubling (log2 P rounds) when P is a power of two — essential at
 // scale, where a ring's P-1 rounds per rank would mean O(P^2) messages — and
-// a ring otherwise.
+// a ring otherwise. The uniform allgather runs the same rounds with every
+// block `block` bytes, so it keeps no per-rank offset table.
 struct IallgathervOp final : CollBase {
   std::byte* out = nullptr;
-  std::vector<std::size_t> counts;
+  /// Prefix sums of the block sizes (P+1 entries); empty for the uniform
+  /// allgather, whose block r starts at r * block.
   std::vector<std::size_t> displs;
+  std::size_t block = 0;
   int round = 0;
   int pending = 0;
   bool power_of_two = false;
 
+  [[nodiscard]] std::size_t offset(int r) const {
+    return displs.empty() ? block * static_cast<std::size_t>(r)
+                          : displs[static_cast<std::size_t>(r)];
+  }
   [[nodiscard]] std::size_t segment_bytes(int from, int to) const {
-    return displs[static_cast<std::size_t>(to)] -
-           displs[static_cast<std::size_t>(from)];
+    return offset(to) - offset(from);
   }
 
+  /// `counts` null: uniform blocks of `mine.on_wire()` bytes.
   static Request launch(Machine& m, const Comm& c, int me, SendBuf mine,
-                        void* out, const std::vector<std::size_t>& counts,
+                        void* out, const std::vector<std::size_t>* counts,
                         int tag) {
-    if (static_cast<int>(counts.size()) != c.size())
+    if (counts && static_cast<int>(counts->size()) != c.size())
       throw std::invalid_argument("iallgatherv: counts.size() != comm size");
-    if (mine.ptr && mine.bytes != counts[static_cast<std::size_t>(me)])
+    if (counts && mine.ptr &&
+        mine.bytes != (*counts)[static_cast<std::size_t>(me)])
       throw std::invalid_argument("iallgatherv: my block size != counts[me]");
     auto op = detail::make_heap_op<IallgathervOp>();
     op->init(m, c, me, tag);
     op->out = static_cast<std::byte*>(out);
-    op->counts = counts;
     op->power_of_two = (c.size() & (c.size() - 1)) == 0;
-    op->displs.resize(counts.size() + 1, 0);
-    std::partial_sum(counts.begin(), counts.end(), op->displs.begin() + 1);
-    if (op->out && mine.ptr) {
-      std::memcpy(op->out + op->displs[static_cast<std::size_t>(me)], mine.ptr,
-                  mine.bytes);
+    if (counts) {
+      op->displs.resize(counts->size() + 1, 0);
+      std::partial_sum(counts->begin(), counts->end(), op->displs.begin() + 1);
+    } else {
+      op->block = mine.on_wire();
     }
+    if (op->out && mine.ptr)
+      std::memcpy(op->out + op->offset(me), mine.ptr, mine.bytes);
     op->step(op);
     return op;
   }
@@ -334,12 +344,12 @@ struct IallgathervOp final : CollBase {
       const int mine_lo = me & ~(half - 1);      // start of my held block
       const int theirs_lo = partner & ~(half - 1);
       csend(partner,
-            out ? SendBuf{out + displs[static_cast<std::size_t>(mine_lo)],
+            out ? SendBuf{out + offset(mine_lo),
                           segment_bytes(mine_lo, mine_lo + half)}
                 : SendBuf::synthetic(segment_bytes(mine_lo, mine_lo + half)),
             k_done);
       crecv(partner,
-            out ? RecvBuf{out + displs[static_cast<std::size_t>(theirs_lo)],
+            out ? RecvBuf{out + offset(theirs_lo),
                           segment_bytes(theirs_lo, theirs_lo + half)}
                 : RecvBuf::discard(segment_bytes(theirs_lo, theirs_lo + half)),
             k_done);
@@ -347,17 +357,19 @@ struct IallgathervOp final : CollBase {
     }
     // Ring: in round k, pass along the block received in round k-1.
     const int k = round++;
-    const auto send_idx = static_cast<std::size_t>((me - k + size) % size);
-    const auto recv_idx = static_cast<std::size_t>((me - k - 1 + size) % size);
+    const int send_idx = (me - k + size) % size;
+    const int recv_idx = (me - k - 1 + size) % size;
     const int right = (me + 1) % size;
     const int left = (me - 1 + size) % size;
+    const std::size_t send_bytes = segment_bytes(send_idx, send_idx + 1);
+    const std::size_t recv_bytes = segment_bytes(recv_idx, recv_idx + 1);
     csend(right,
-          out ? SendBuf{out + displs[send_idx], counts[send_idx]}
-              : SendBuf::synthetic(counts[send_idx]),
+          out ? SendBuf{out + offset(send_idx), send_bytes}
+              : SendBuf::synthetic(send_bytes),
           k_done);
     crecv(left,
-          out ? RecvBuf{out + displs[recv_idx], counts[recv_idx]}
-              : RecvBuf::discard(counts[recv_idx]),
+          out ? RecvBuf{out + offset(recv_idx), recv_bytes}
+              : RecvBuf::discard(recv_bytes),
           k_done);
   }
 };
@@ -604,7 +616,7 @@ Request Rank::iallgatherv(const Comm& comm, SendBuf mine, void* out,
   if (me < 0) throw std::logic_error("iallgatherv: not a member");
   process_->advance(static_cast<util::SimTime>(
       machine_->config().network.coll_post_ns_per_peer * comm.size()));
-  return IallgathervOp::launch(*machine_, comm, me, mine, out, counts,
+  return IallgathervOp::launch(*machine_, comm, me, mine, out, &counts,
                                next_coll_tag(comm));
 }
 
@@ -612,6 +624,19 @@ Status Rank::allgatherv(const Comm& comm, SendBuf mine, void* out,
                         const std::vector<std::size_t>& counts) {
   const sim::SpanScope span(*process_, obs::SpanKind::Collective, "allgatherv");
   return wait_outcome(*this, iallgatherv(comm, mine, out, counts));
+}
+
+Status Rank::allgather(const Comm& comm, SendBuf mine, void* out) {
+  const sim::SpanScope span(*process_, obs::SpanKind::Collective, "allgather");
+  const int me = rank_in(comm);
+  if (me < 0) throw std::logic_error("allgather: not a member");
+  // Posted at allgatherv's price: a uniform allgatherv and this call move
+  // the same messages at the same instants.
+  process_->advance(static_cast<util::SimTime>(
+      machine_->config().network.coll_post_ns_per_peer * comm.size()));
+  return wait_outcome(*this, IallgathervOp::launch(*machine_, comm, me, mine,
+                                                   out, nullptr,
+                                                   next_coll_tag(comm)));
 }
 
 Request Rank::ialltoallv(const Comm& comm, const void* send_buf,

@@ -35,10 +35,15 @@ class Comm {
   }
 
  private:
+  friend class Machine;  // interns set-up communicators (Machine::intern_comm)
+
   struct State {
     std::uint64_t context = 0;
     Group group;
   };
+  explicit Comm(std::shared_ptr<const State> state)
+      : state_(std::move(state)) {}
+
   std::shared_ptr<const State> state_;
 };
 

@@ -10,8 +10,10 @@
 // one run, a channel's "producers, then consumers" list is two — so the
 // group records where its first run ends and binary-searches each run. A
 // group of more runs (an `include` with an arbitrary permutation) falls
-// back to the linear scan. One int per group, no side tables: the runtime
-// holds thousands of per-rank channel groups at once.
+// back to the linear scan. One int per group, no side tables. Groups that
+// every rank of a set-up step derives alike (a channel's member list, a
+// split colour) are interned once per machine (Machine::intern_comm and the
+// channel shape), so all ranks share one member vector.
 #pragma once
 
 #include <vector>

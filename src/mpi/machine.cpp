@@ -233,6 +233,16 @@ std::shared_ptr<resilience::Agreement> Machine::agreement(std::uint64_t key,
 
 void Machine::release_agreement(std::uint64_t key) { agreements_.erase(key); }
 
+Comm Machine::intern_comm(std::uint64_t context, std::vector<int> world_ranks) {
+  return Comm(intern<Comm::State>(
+      context,
+      [&](const Comm::State& s) { return s.group.members() == world_ranks; },
+      [&] {
+        return std::make_shared<const Comm::State>(
+            Comm::State{context, Group(std::move(world_ranks))});
+      }));
+}
+
 void Machine::add_failure_waiter(int pid) {
   // Registrations outlive individual waits (they are only consumed by the
   // next crash), so keep the list unique: one entry per fiber bounds it by

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <typeinfo>
 #include <unordered_map>
 #include <vector>
 
@@ -210,6 +211,26 @@ class Machine {
       std::uint64_t key, int size);
   void release_agreement(std::uint64_t key);
 
+  /// Machine-wide interning of immutable set-up state. Every rank of a
+  /// collective set-up step derives the same value; the first caller builds
+  /// it with `make()` and every later caller whose `matches(existing)`
+  /// holds shares that one copy, so a read-only table costs O(P) per
+  /// machine instead of O(P) per rank. `key` only buckets the lookup: a hit
+  /// also requires `matches`, so equal keys with different content (a
+  /// channel id reused with another role vector) never alias. Entries are
+  /// held weakly: a value is freed once no rank refers to it, and its
+  /// entry is dropped at the next lookup of its key.
+  template <typename T, typename Match, typename Make>
+  [[nodiscard]] std::shared_ptr<const T> intern(std::uint64_t key,
+                                                const Match& matches,
+                                                const Make& make);
+
+  /// The communicator of `context` over `world_ranks`, sharing its member
+  /// table with every live communicator interned with the same context and
+  /// members (Rank::split's colours, a channel's survivor retry).
+  [[nodiscard]] Comm intern_comm(std::uint64_t context,
+                                 std::vector<int> world_ranks);
+
   /// Control-message wire size used by rendezvous handshakes.
   static constexpr std::size_t kControlBytes = 64;
 
@@ -249,6 +270,30 @@ class Machine {
   /// Live agreement ledgers (see agreement()); erased when read out.
   std::unordered_map<std::uint64_t, std::shared_ptr<resilience::Agreement>>
       agreements_;
+  /// Interned set-up state (see intern()), bucketed by key.
+  struct Interned {
+    const std::type_info* type;
+    std::weak_ptr<const void> value;
+  };
+  std::unordered_map<std::uint64_t, std::vector<Interned>> interned_;
 };
+
+template <typename T, typename Match, typename Make>
+std::shared_ptr<const T> Machine::intern(std::uint64_t key,
+                                         const Match& matches,
+                                         const Make& make) {
+  std::vector<Interned>& bucket = interned_[key];
+  std::erase_if(bucket, [](const Interned& e) { return e.value.expired(); });
+  for (const Interned& e : bucket) {
+    if (*e.type != typeid(T)) continue;
+    auto held = std::static_pointer_cast<const T>(e.value.lock());
+    if (matches(*held)) return held;
+  }
+  std::shared_ptr<const T> made = make();
+  // Looked up again: `make` may itself intern (a channel shape builds its
+  // communicator), and that may have added to this very bucket.
+  interned_[key].push_back(Interned{&typeid(T), made});
+  return made;
+}
 
 }  // namespace ds::mpi

@@ -151,10 +151,12 @@ bool try_freeze(Machine& machine, resilience::Agreement& a, const Comm& comm) {
       return false;
   }
   a.frozen = true;
+  a.survivors.reserve(static_cast<std::size_t>(comm.size()));
   for (int r = 0; r < comm.size(); ++r) {
     const auto idx = static_cast<std::size_t>(r);
     if (a.deposited[idx]) a.value |= a.contribution[idx];
-    if (machine.rank_failed(comm.world_rank(r))) a.dead.push_back(r);
+    const int world = comm.world_rank(r);
+    (machine.rank_failed(world) ? a.failed : a.survivors).push_back(world);
   }
   for (const int pid : a.waiters) machine.engine().wake(pid);
   a.waiters.clear();
@@ -196,14 +198,7 @@ AgreeResult Rank::agree(const Comm& comm, std::uint64_t contribution) {
     machine_->ensure_alive(world_rank_);
   }
   process_->set_state_note({});
-  AgreeResult out;
-  out.value = ledger->value;
-  for (int r = 0; r < comm.size(); ++r) out.survivors.push_back(comm.world_rank(r));
-  for (const int r : ledger->dead) {
-    out.failed.push_back(comm.world_rank(r));
-    out.survivors.erase(std::find(out.survivors.begin(), out.survivors.end(),
-                                  comm.world_rank(r)));
-  }
+  AgreeResult out{ledger->value, ledger->survivors, ledger->failed};
   // A failure-detecting agreement is a membership event worth a marker on
   // the timeline, next to the crash/rejoin instants it reacts to.
   if (!out.failed.empty()) process_->trace_instant("agreement");
@@ -230,15 +225,13 @@ void Rank::charge_recv_overhead(const Request& req) {
 }
 
 Comm Rank::split(const Comm& comm, int color, int key) {
-  const int me = require_member(comm, world_rank_, "split");
+  require_member(comm, world_rank_, "split");
   const int size = comm.size();
 
   // Allgather (color, key) pairs — the same wire traffic MPI_Comm_split pays.
-  std::vector<std::int32_t> mine = {color, key};
+  const std::int32_t mine[2] = {color, key};
   std::vector<std::int32_t> all(static_cast<std::size_t>(2 * size));
-  const std::vector<std::size_t> counts(static_cast<std::size_t>(size),
-                                        2 * sizeof(std::int32_t));
-  allgatherv(comm, SendBuf::of(mine.data(), 2), all.data(), counts);
+  allgather(comm, SendBuf::of(mine, 2), all.data());
 
   const std::uint64_t epoch = split_seq_[comm.context()]++;
   if (color < 0) return Comm{};  // MPI_UNDEFINED: not a member of any result
@@ -261,8 +254,8 @@ Comm Rank::split(const Comm& comm, int color, int key) {
   const std::uint64_t ctx = Machine::derive_context(
       comm.context(), 0x5B17'0000ull + epoch,
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(color)));
-  (void)me;
-  return Comm(ctx, Group(std::move(world_ranks)));
+  // Every member of the colour derives the same list: they share one copy.
+  return machine_->intern_comm(ctx, std::move(world_ranks));
 }
 
 }  // namespace ds::mpi

@@ -124,6 +124,12 @@ class Rank {
                     const std::vector<std::size_t>& counts);
   Request iallgatherv(const Comm& comm, SendBuf mine, void* out,
                       const std::vector<std::size_t>& counts);
+  /// Gather one equal-size block from every member: block r (of
+  /// `mine.on_wire()` bytes, the same on every rank) lands at offset
+  /// r * mine.on_wire(). The rounds, message sizes and charges of
+  /// allgatherv with equal counts, without its P-sized count and offset
+  /// tables; null `out` runs it with synthetic payloads.
+  Status allgather(const Comm& comm, SendBuf mine, void* out);
 
   /// Variable all-to-all; `send_counts[r]`/`recv_counts[r]` are byte counts
   /// to/from rank r, packed contiguously in rank order. As with

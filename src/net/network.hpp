@@ -85,8 +85,9 @@ struct NetworkConfig {
   int ranks_per_node = 32;
 
   /// CPU time per communicator peer charged to the caller of vector
-  /// collectives (alltoallv/allgatherv): marshalling O(P) count/displacement
-  /// arrays is real work that grows with scale even when most entries are 0.
+  /// collectives (alltoallv/allgatherv, and allgather, priced the same):
+  /// marshalling O(P) count/displacement arrays is real work that grows
+  /// with scale even when most entries are 0.
   double coll_post_ns_per_peer = 30.0;
 
   /// Fraction of the payload byte-time also charged to the *receiving*

@@ -34,7 +34,10 @@ struct Agreement {
   std::vector<std::uint64_t> contribution; ///< valid where deposited
   bool frozen = false;
   std::uint64_t value = 0;  ///< OR over deposited contributions at freeze
-  std::vector<int> dead;    ///< group ranks excused (dead) at freeze time
+  /// The failure view at freeze time, as world ranks in group order: built
+  /// once by the freezing rank, copied out by every reader.
+  std::vector<int> survivors;
+  std::vector<int> failed;
   std::vector<int> waiters; ///< fiber pids blocked on the freeze
   /// Live participants that have not yet read the frozen result; the
   /// machine erases the ledger entry when this reaches zero. (A participant

@@ -307,5 +307,66 @@ TEST(Channel, DistinctChannelIdsGetDistinctContexts) {
   });
 }
 
+TEST(Channel, EveryRankOfOneCreateSharesTheMemberTable) {
+  // The channel's shape is interned per machine: every member points at
+  // one member list, and every rank (the inert non-member too) reads the
+  // group sizes from the same shape.
+  constexpr int kP = 9;
+  std::vector<const int*> members(kP, nullptr);
+  std::vector<int> counts(kP, -1);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const int me = self.world_rank();
+    const Channel ch =
+        Channel::create(self, self.world(), me < 6, me >= 6 && me < 8);
+    counts[static_cast<std::size_t>(me)] =
+        ch.producer_count() * 10 + ch.consumer_count();
+    if (ch.valid())
+      members[static_cast<std::size_t>(me)] =
+          ch.comm().group().members().data();
+    // Hold the handle until every rank has built its own: an interned
+    // shape lives only while some rank refers to it.
+    (void)self.barrier(self.world());
+  });
+  for (int r = 0; r < 8; ++r)
+    EXPECT_EQ(members[static_cast<std::size_t>(r)], members[0]) << "rank " << r;
+  EXPECT_NE(members[0], nullptr);
+  EXPECT_EQ(members[8], nullptr);  // non-member: inert handle
+  for (const int c : counts) EXPECT_EQ(c, 62);
+}
+
+TEST(Channel, ReusedIdWithOtherRolesBuildsItsOwnShape) {
+  // Two channels with one id over one parent derive the same context. The
+  // second is built while every rank still holds the first, so a shape
+  // looked up by context alone would hand it the first's groups.
+  constexpr int kP = 8;
+  std::uint64_t consumed = 0;
+  std::vector<int> sizes(kP, -1);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const int me = self.world_rank();
+    ChannelConfig config;
+    config.channel_id = 7;
+    Channel first =
+        Channel::create(self, self.world(), me < 6, me >= 6, config);
+    Channel second =
+        Channel::create(self, self.world(), me >= 2, me < 2, config);
+    sizes[static_cast<std::size_t>(me)] =
+        second.producer_count() * 10 + second.consumer_count();
+    EXPECT_EQ(first.producer_count(), 6);
+    EXPECT_EQ(second.my_producer_index(self), me >= 2 ? me - 2 : -1);
+    EXPECT_EQ(second.my_consumer_index(self), me < 2 ? me : -1);
+    Stream s = Stream::attach(second, mpi::Datatype::bytes(8), {});
+    if (me >= 2) {
+      for (int i = 0; i < 3; ++i) s.isend(self, mpi::SendBuf::synthetic(8));
+      s.terminate(self);
+    } else {
+      consumed += s.operate(self);
+    }
+    second.free(self);
+    first.free(self);
+  });
+  for (const int s : sizes) EXPECT_EQ(s, 62);
+  EXPECT_EQ(consumed, 6u * 3u);
+}
+
 }  // namespace
 }  // namespace ds::stream

@@ -379,6 +379,10 @@ TEST(Pipeline, MisuseIsRejected) {
       auto pipeline = Pipeline::over(self, self.world());
       EXPECT_THROW(pipeline.with_helper_ranks({5}), std::invalid_argument);
       EXPECT_THROW(pipeline.with_helper_ranks({0, 1}), std::invalid_argument);
+      // A plan computed for a wider communicator names ranks outside this one.
+      const mpi::Comm wider(/*context=*/99, mpi::Group::world(8));
+      EXPECT_THROW(pipeline.with_plan(stream::GroupPlan::interleaved(wider, 4)),
+                   std::invalid_argument);
     }
     {
       auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
@@ -464,6 +468,93 @@ TEST(Pipeline, NodePlacementRejectsDegenerateShapes) {
     EXPECT_THROW(pipeline.with_node_placement(1), std::invalid_argument);
     EXPECT_THROW(pipeline.with_node_placement(0), std::invalid_argument);
   });
+}
+
+TEST(Pipeline, EveryRankSharesOneLayoutAndOneCopyOfEachGroup) {
+  // The split, each channel's member list and the worker communicator are
+  // set-up state every rank derives identically: one copy per machine.
+  constexpr int kP = 16;
+  std::vector<const int*> workers(kP, nullptr);
+  std::vector<const int*> channel(kP, nullptr);
+  std::vector<const int*> worker_comm(kP, nullptr);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    auto pipeline =
+        Pipeline::over(self, self.world()).with_stride(4).with_worker_comm();
+    auto samples = pipeline.stream<Sample>();
+    const auto record = [&](Context& ctx) {
+      const auto me = static_cast<std::size_t>(ctx.parent_rank());
+      workers[me] = ctx.workers().data();
+      channel[me] = ctx[samples].channel().comm().group().members().data();
+      if (ctx.is_worker())
+        worker_comm[me] = ctx.worker_comm().group().members().data();
+    };
+    pipeline.run(record, record);
+  });
+  for (int r = 0; r < kP; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(workers[i], workers[0]) << "rank " << r;
+    EXPECT_EQ(channel[i], channel[0]) << "rank " << r;
+    EXPECT_EQ(worker_comm[i], r % 4 == 3 ? nullptr : worker_comm[0])
+        << "rank " << r;
+  }
+  EXPECT_NE(workers[0], nullptr);
+  EXPECT_NE(worker_comm[0], nullptr);
+}
+
+TEST(Pipeline, BackToBackPipelinesOnOneChannelBaseRouteIndependently) {
+  // Two pipelines over one parent with the same (default) channel base but
+  // different splits, run one after the other with no barrier between
+  // them: workers done with the first enter the second's channel creation
+  // while helpers still drain the first, and every rank still holds the
+  // first's channel when the second's is built. Both derive the same
+  // channel context, so each must still get its own shape.
+  constexpr int kP = 16;
+  std::vector<long long> sums(2 * kP, 0);
+  std::vector<int> counts(2 * kP, 0);
+  std::vector<int> consumers(2 * kP, -1);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const auto run_round = [&](int round) {
+      auto pipeline =
+          Pipeline::over(self, self.world()).with_stride(round == 0 ? 4 : 8);
+      auto samples = pipeline.stream<Sample>();
+      const auto slot =
+          static_cast<std::size_t>(round * kP + self.world_rank());
+      pipeline.run(
+          [&](Context& ctx) {
+            consumers[slot] = ctx[samples].channel().consumer_count();
+            ctx[samples].send(Sample{ctx.parent_rank(), round, 0.0});
+          },
+          [&](Context& ctx) {
+            auto& s = ctx[samples];
+            consumers[slot] = s.channel().consumer_count();
+            s.on_receive([&](const Element<Sample>& el) {
+              EXPECT_EQ(el.record.tick, round);
+              sums[slot] += el.record.source;
+              ++counts[slot];
+            });
+            s.operate();
+          });
+      return pipeline;  // keeps its channel until the caller's scope ends
+    };
+    const Pipeline first = run_round(0);
+    const Pipeline second = run_round(1);
+  });
+  for (int r = 0; r < kP; ++r) {
+    const auto first = static_cast<std::size_t>(r);
+    const auto second = static_cast<std::size_t>(kP + r);
+    EXPECT_EQ(consumers[first], 4) << "rank " << r;
+    EXPECT_EQ(consumers[second], 2) << "rank " << r;
+    // Stride 4: helper k (rank 4k+3) serves ranks 4k..4k+2 (Block).
+    if (r % 4 == 3) {
+      EXPECT_EQ(counts[first], 3) << "rank " << r;
+      EXPECT_EQ(sums[first], 3LL * (r - 3) + 3) << "rank " << r;
+    }
+    // Stride 8: helper k (rank 8k+7) serves ranks 8k..8k+6.
+    if (r % 8 == 7) {
+      EXPECT_EQ(counts[second], 7) << "rank " << r;
+      EXPECT_EQ(sums[second], 7LL * (r - 7) + 21) << "rank " << r;
+    }
+  }
 }
 
 }  // namespace

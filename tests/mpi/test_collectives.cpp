@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -215,6 +216,74 @@ TEST(Collectives, SyntheticCollectivesAdvanceTime) {
         self.reduce(self.world(), 0, SendBuf::synthetic(1 << 16), nullptr, {});
       });
   EXPECT_GT(makespan, 0);
+}
+
+/// One exchange of three int32 per rank, through allgather or through
+/// allgatherv with equal counts, optionally with `victim` crashed at `at`.
+struct GatherRun {
+  std::vector<std::vector<std::int32_t>> out;  ///< per rank
+  std::vector<int> failed;                     ///< per rank: outcome
+  util::SimTime makespan = 0;
+};
+
+GatherRun run_uniform_gather(int size, bool uniform, int victim = -1,
+                             util::SimTime at = 0) {
+  auto config = testing::tiny_machine(size);
+  if (victim >= 0) config.faults.crash(victim, at);
+  GatherRun run;
+  run.out.resize(static_cast<std::size_t>(size));
+  run.failed.assign(static_cast<std::size_t>(size), -1);
+  Machine machine(config);
+  run.makespan = machine.run([&](Rank& self) {
+    const int me = self.world_rank();
+    const std::int32_t mine[3] = {me, 7 * me, -me};
+    std::vector<std::int32_t> out(static_cast<std::size_t>(3 * size), -1);
+    Status st;
+    if (uniform) {
+      st = self.allgather(self.world(), SendBuf::of(mine, 3), out.data());
+    } else {
+      const std::vector<std::size_t> counts(static_cast<std::size_t>(size),
+                                            sizeof mine);
+      st = self.allgatherv(self.world(), SendBuf::of(mine, 3), out.data(),
+                           counts);
+    }
+    run.out[static_cast<std::size_t>(me)] = out;
+    run.failed[static_cast<std::size_t>(me)] = st.failed ? 1 : 0;
+  });
+  return run;
+}
+
+TEST(Collectives, AllgatherMatchesUniformAllgathervOnRingAndDoubling) {
+  // P = 6 runs the ring, P = 8 recursive doubling: both must move the same
+  // bytes at the same virtual instants as allgatherv with equal counts.
+  for (const int size : {6, 8}) {
+    const GatherRun gather = run_uniform_gather(size, /*uniform=*/true);
+    const GatherRun gatherv = run_uniform_gather(size, /*uniform=*/false);
+    EXPECT_EQ(gather.out, gatherv.out) << "P=" << size;
+    EXPECT_EQ(gather.makespan, gatherv.makespan) << "P=" << size;
+    for (const auto& out : gather.out)
+      for (int r = 0; r < size; ++r) {
+        EXPECT_EQ(out[static_cast<std::size_t>(3 * r)], r);
+        EXPECT_EQ(out[static_cast<std::size_t>(3 * r + 1)], 7 * r);
+        EXPECT_EQ(out[static_cast<std::size_t>(3 * r + 2)], -r);
+      }
+  }
+}
+
+TEST(Collectives, AllgatherReportsACrashLikeAllgatherv) {
+  for (const int size : {6, 8}) {
+    const util::SimTime clean = run_uniform_gather(size, true).makespan;
+    const int victim = size - 2;
+    const util::SimTime at = clean / 2;  // inside the wire rounds
+    const GatherRun gather = run_uniform_gather(size, true, victim, at);
+    const GatherRun gatherv = run_uniform_gather(size, false, victim, at);
+    EXPECT_EQ(gather.failed, gatherv.failed) << "P=" << size;
+    EXPECT_EQ(gather.makespan, gatherv.makespan) << "P=" << size;
+    int failed = 0;
+    for (int r = 0; r < size; ++r)
+      if (r != victim) failed += gather.failed[static_cast<std::size_t>(r)];
+    EXPECT_GT(failed, 0) << "P=" << size << ": no survivor saw the crash";
+  }
 }
 
 }  // namespace
