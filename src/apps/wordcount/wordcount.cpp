@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "core/decouple.hpp"
 #include "core/group_plan.hpp"
@@ -173,10 +174,9 @@ WordcountResult run_decoupled(const WordcountConfig& config,
     const auto map_stage =
         pipeline.stage({plan.workers().begin(), plan.workers().end()});
     decouple::StageHandle reduce_stage;
-    if (!master_only)
-      reduce_stage = pipeline.stage([&plan, master](int r) {
-        return plan.is_helper(r) && r != master;
-      });
+    if (!master_only)  // every helper but the master (helpers().front())
+      reduce_stage = pipeline.stage(
+          {std::next(plan.helpers().begin()), plan.helpers().end()});
     const auto master_stage = pipeline.stage(std::vector<int>{master});
     // Both hops ride the transport defaults: coalescing packs the many
     // small-to-medium histogram records injected back to back into shared

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 
 #include "core/adaptive.hpp"
@@ -130,24 +131,34 @@ struct CoalesceState {
   std::uint32_t failovers = 0;
   std::uint32_t rebalances = 0;  ///< voluntary moves (rejoin/elastic)
 
+  /// One flow's producer-side record: its pending frame and element tally.
   struct Pending {
     std::vector<std::byte> buf;  ///< FrameHeader + sub-records (capacity kept)
     std::uint32_t elements = 0;
     std::uint64_t wire = 0;   ///< frame wire bytes incl. all framing
     std::uint64_t epoch = 0;  ///< bumped per flush; stale backstops no-op
     std::uint64_t seq0 = 0;   ///< resilient: flow seq of the first element
+    std::uint64_t sent = 0;   ///< elements sent on this flow
     int dst_world = -1;
   };
-  std::vector<Pending> pending;  ///< by flow (== consumer index), lazily sized
+  /// By flow (== consumer index), ascending. A slot is made at the first
+  /// element sent on its flow and never erased: a producer holds state only
+  /// for the consumers it addresses (one under Block), in consumer order.
+  std::map<int, Pending> pending;
 
   std::uint64_t frames_sent = 0;
   std::uint64_t coalesced_elements = 0;
 
+  /// The slot of `consumer`'s flow, or null when nothing was sent on it.
+  Pending* find(int consumer) {
+    const auto it = pending.find(consumer);
+    return it == pending.end() ? nullptr : &it->second;
+  }
+
   /// Post one flow's pending frame (fiber or event context) and reset the
   /// slot. Resilient flows retain the frame bytes for replay before posting.
   /// Returns the frame's wire size for the controller.
-  std::uint64_t post_frame(int consumer) {
-    Pending& p = pending[static_cast<std::size_t>(consumer)];
+  std::uint64_t post_frame(int consumer, Pending& p) {
     FrameHeader header{p.elements,
                        static_cast<std::uint32_t>(p.buf.size() - kFrameOverhead)};
     std::memcpy(p.buf.data(), &header, sizeof header);
@@ -259,7 +270,6 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   st->controller = FlowController(fc);
   st->inject_overhead = cfg.inject_overhead;
   st->send_overhead = self.machine().config().network.send_overhead;
-  st->pending.resize(static_cast<std::size_t>(channel_->consumer_count()));
   if (cfg.max_inflight > 0 && st->autotune) {
     st->window_cfg = cfg.max_inflight;
     st->window_cap = cfg.max_inflight * ChannelConfig::kWindowGrowthCap;
@@ -300,7 +310,7 @@ void Stream::coalesce_element(mpi::Rank& self, int consumer,
   // check below flushes the frame pending toward this consumer first, so
   // the lone frame never overtakes it.
   const bool alone = st.frame_overhead + kSubOverhead + el_wire > st.budget;
-  auto& p = st.pending[static_cast<std::size_t>(consumer)];
+  auto& p = st.pending[consumer];
   if (p.elements > 0 &&
       (p.wire + kSubOverhead + el_wire > st.budget ||
        p.elements >= kMaxFrameElements)) {
@@ -333,14 +343,14 @@ void Stream::coalesce_element(mpi::Rank& self, int consumer,
       self.machine().engine().schedule(
           self.machine().engine().now(),
           [st = coalesce_, consumer, epoch = p.epoch] {
-            auto& slot = st->pending[static_cast<std::size_t>(consumer)];
+            auto& slot = *st->find(consumer);
             if (slot.epoch != epoch || slot.elements == 0) return;
             // Event context: no fiber to charge — carry the CPU cost as
             // debt, settled on the producer's next fiber-side flush.
             st->debt +=
                 st->inject_overhead * slot.elements + st->send_overhead;
             const std::uint32_t n = slot.elements;
-            const std::uint64_t wire = st->post_frame(consumer);
+            const std::uint64_t wire = st->post_frame(consumer, slot);
             st->retune(FlushTrigger::Idle, n, wire);
           });
   }
@@ -353,6 +363,7 @@ void Stream::coalesce_element(mpi::Rank& self, int consumer,
     std::memcpy(p.buf.data() + at + kSubOverhead, element.ptr, element.bytes);
   p.wire += kSubOverhead + el_wire;
   ++p.elements;
+  ++p.sent;
   if (st.resilient) {
     auto& flow = st.flows[static_cast<std::size_t>(consumer)];
     ++flow.seq;
@@ -370,24 +381,24 @@ void Stream::coalesce_element(mpi::Rank& self, int consumer,
 
 void Stream::flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger) {
   CoalesceState& st = *coalesce_;
-  auto& p = st.pending[static_cast<std::size_t>(consumer)];
-  if (p.elements == 0) return;
+  CoalesceState::Pending* p = st.find(consumer);
+  if (p == nullptr || p->elements == 0) return;
   // One aggregate advance per frame replaces the per-element wake/advance
   // pair: n injections' worth of `o` plus one per-message o_s, plus any
   // debt left by event-context (backstop) flushes.
   const util::SimTime charge =
-      st.debt + st.inject_overhead * p.elements + st.send_overhead;
+      st.debt + st.inject_overhead * p->elements + st.send_overhead;
   st.debt = 0;
-  const std::uint32_t n = p.elements;
-  const std::uint64_t wire = st.post_frame(consumer);
+  const std::uint32_t n = p->elements;
+  const std::uint64_t wire = st.post_frame(consumer, *p);
   st.retune(static_cast<FlushTrigger>(trigger), n, wire);
   self.process().advance(charge);
 }
 
 void Stream::flush_all_frames(mpi::Rank& self, std::uint8_t trigger) {
   if (!coalesce_) return;
-  for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
-    flush_frame(self, static_cast<int>(c), trigger);
+  for (const auto& slot : coalesce_->pending)
+    flush_frame(self, slot.first, trigger);
 }
 
 void Stream::flush(mpi::Rank& self) {
@@ -443,16 +454,6 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   }
 
   ++sent_;
-  // Per-consumer tallies feed the v1 aggregated term; resilient channels
-  // derive their counted terms from the per-flow sequence spaces instead
-  // (counts stay logical — the exhaustion matrix is per flow, not per
-  // physical destination).
-  if (!coalesce_->resilient) {
-    if (sent_per_consumer_.empty())
-      sent_per_consumer_.assign(
-          static_cast<std::size_t>(channel_->consumer_count()), 0);
-    ++sent_per_consumer_[static_cast<std::size_t>(consumer)];
-  }
   coalesce_element(self, consumer, element);
 }
 
@@ -501,30 +502,27 @@ void Stream::terminate_impl(mpi::Rank& self) {
                       kTagTerm, payload);
     ++term_msgs_sent_;
   };
+  // Every term carries this producer's element count per flow it sent on,
+  // in consumer order, so consumers can account for data still in flight.
+  // Counts stay logical: a resilient flow's count is its sequence space,
+  // wherever failover routed it (the exhaustion matrix is per flow).
+  term_tx_.clear();
+  for (const auto& [consumer, slot] : coalesce_->pending)
+    term_tx_.push_back(
+        TermEntry{static_cast<std::uint64_t>(consumer), slot.sent});
   if (!resilient) {
-    // Aggregated termination (v1): one term to the aggregator consumer,
-    // carrying this producer's per-consumer element counts (nonzero entries
-    // only) so consumers can account for data still in flight.
-    term_tx_.clear();
-    for (std::size_t c = 0; c < sent_per_consumer_.size(); ++c)
-      if (sent_per_consumer_[c] > 0)
-        term_tx_.push_back(TermEntry{c, sent_per_consumer_[c]});
+    // Aggregated termination (v1): one term to the aggregator consumer.
     post_term(Channel::term_aggregator(),
               mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
     return;
   }
 
-  // Resilient termination: a *counted term* — this producer's final
-  // per-flow sequence (one entry per flow it touched) — goes to the
-  // effective aggregator, and the producer then blocks until the channel's
-  // release barrier commits. Blocking here is what makes the protocol
-  // crash-proof: the counts stay resendable when the aggregator role moves,
-  // and the replay logs stay alive until every consumer has confirmed the
-  // full count matrix.
-  term_tx_.clear();
-  for (std::size_t c = 0; c < coalesce_->flows.size(); ++c)
-    if (coalesce_->flows[c].seq > 0)
-      term_tx_.push_back(TermEntry{c, coalesce_->flows[c].seq});
+  // Resilient termination: the *counted term* goes to the effective
+  // aggregator, and the producer then blocks until the channel's release
+  // barrier commits. Blocking here is what makes the protocol crash-proof:
+  // the counts stay resendable when the aggregator role moves, and the
+  // replay logs stay alive until every consumer has confirmed the full
+  // count matrix.
   int aggregator = resilience::effective_aggregator(*channel_, machine);
   if (aggregator < 0)
     throw std::runtime_error(
@@ -797,11 +795,11 @@ bool Stream::check_producer_failover(mpi::Rank& self) {
     ++st.failovers;
     st.redirect[flow] = target;
 
-    auto& p = st.pending[flow];
     // A frame still being packed follows the flow to its new target.
     const int dst_world =
         channel_->comm().world_rank(channel_->consumer_rank(target));
-    if (p.elements > 0) p.dst_world = dst_world;
+    CoalesceState::Pending* p = st.find(static_cast<int>(flow));
+    if (p != nullptr && p->elements > 0) p->dst_world = dst_world;
     // A rebind back home (the dead adopter's failover target can be the
     // flow's own rejoined slot) counts as reconciliation with the current
     // incarnation — the replay below is the resynchronization.
@@ -860,7 +858,8 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
     const bool home_ok =
         !home_dead && channel_->consumer_active(static_cast<int>(flow));
     auto& fl = st.flows[flow];
-    auto& p = st.pending[flow];
+    CoalesceState::Pending* p = st.find(static_cast<int>(flow));
+    const bool packing = p != nullptr && p->elements > 0;
     if (st.redirect[flow] != static_cast<int>(flow)) {
       if (!home_ok) continue;  // still away; adopter crashes are failover's job
       // Hand the flow back to its rejoined / re-admitted home slot. New
@@ -871,7 +870,7 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       const int prev = st.redirect[flow];
       st.redirect[flow] = static_cast<int>(flow);
       st.flow_incarnation[flow] = machine.incarnation(home_world);
-      if (p.elements > 0) p.dst_world = home_world;
+      if (packing) p->dst_world = home_world;
       if (fl.seq > 0) {
         const FlowHandoff marker{fl.seq, static_cast<std::uint32_t>(flow), 0};
         self.process().advance(st.send_overhead);
@@ -900,7 +899,7 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       st.redirect[flow] = target;
       const int dst_world =
           channel_->comm().world_rank(channel_->consumer_rank(target));
-      if (p.elements > 0) p.dst_world = dst_world;
+      if (packing) p->dst_world = dst_world;
       replay_flow(self, flow, dst_world);
       ++st.rebalances;
       any = true;

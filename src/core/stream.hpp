@@ -452,10 +452,9 @@ class Stream {
   bool producer_metrics_flushed_ = false;
   bool consumer_metrics_flushed_ = false;
   std::uint64_t term_msgs_flushed_ = 0;  ///< term msgs already flushed
-  std::vector<std::uint64_t> sent_per_consumer_;  ///< non-resilient terms
-  /// Framing state box (null until the first isend or terminate). Shared
-  /// with the backstop events scheduled at each frame open, so flushes
-  /// survive Stream moves.
+  /// Framing state box (null until the first isend or terminate), with a
+  /// pending frame and an element tally per flow this producer sent on.
+  /// Shared with the backstop events, so flushes survive Stream moves.
   std::shared_ptr<CoalesceState> coalesce_;
 
   // consumer state

@@ -397,6 +397,46 @@ TEST(StreamCoalesce, ExplicitFlushShipsAPartialFrame) {
   });
 }
 
+TEST(StreamCoalesce, FlushVisitsConsumersInIndexOrder) {
+  // A Directed producer addresses consumers 3, 1 and 2 at one instant, so
+  // three frames are pending when it flushes. The flush visits them in
+  // consumer-index order, whatever order the consumers were first addressed
+  // in: consumer 1's frame is posted first. Its CPU charge yields the
+  // fiber, so the same-instant backstops post the other two frames in the
+  // order they were opened (3, then 2) — still strictly after consumer 1's.
+  // The term then announces each consumer's count exactly.
+  constexpr int kConsumers = 4;
+  std::vector<util::SimTime> arrived(kConsumers, -1);
+  std::vector<std::uint64_t> consumed(kConsumers, 0);
+  int exhausted_consumers = 0;
+  testing::run_program(testing::tiny_machine(1 + kConsumers), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.mapping = ChannelConfig::Mapping::Directed;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    const int me = self.world_rank() - 1;
+    Stream s = Stream::attach(ch, mpi::Datatype::int32(),
+                              [&](const StreamElement&) {
+                                arrived[static_cast<std::size_t>(me)] = self.now();
+                              });
+    if (producer) {
+      const int v = 5;
+      for (const int consumer : {3, 1, 2})
+        s.isend_to(self, consumer, SendBuf::of(&v, 1));
+      s.flush(self);
+      s.terminate(self);
+    } else {
+      consumed[static_cast<std::size_t>(me)] = s.operate(self);
+      if (s.exhausted()) ++exhausted_consumers;
+    }
+  });
+  EXPECT_EQ(consumed, (std::vector<std::uint64_t>{0, 1, 1, 1}));
+  EXPECT_EQ(exhausted_consumers, kConsumers);
+  EXPECT_EQ(arrived[0], -1);
+  EXPECT_LT(arrived[1], arrived[2]);
+  EXPECT_LT(arrived[1], arrived[3]);
+}
+
 TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
   // An oversized element as the very last send, with a partial frame
   // pending toward the same consumer. The ordering-preserving flush, the
