@@ -28,17 +28,25 @@ std::uint32_t Recorder::intern(std::string name) {
 }
 
 std::uint32_t Recorder::intern(const char* name) {
-  for (const auto& [ptr, id] : ptr_ids_)
-    if (ptr == name) return id;
-  const std::uint32_t id = intern(std::string(name));
-  ptr_ids_.emplace_back(name, id);
-  return id;
+  auto known =
+      std::find_if(ptr_ids_.begin(), ptr_ids_.end(),
+                   [name](const auto& entry) { return entry.first == name; });
+  if (known == ptr_ids_.end())
+    known = ptr_ids_.emplace(known, name, intern(std::string(name)));
+  ptr_cache_[ptr_slot(name)] = PtrId{name, known->second};
+  return known->second;
+}
+
+void Recorder::EventLog::grow() {
+  chunks_.push_back(std::make_unique_for_overwrite<RawEvent[]>(kChunk));
+  tail_ = chunks_.back().get();
+  end_ = tail_ + kChunk;
 }
 
 void Recorder::push_begin(int rank, util::SimTime t, std::uint32_t name,
                           SpanKind kind) {
   if (static_cast<std::size_t>(rank) >= open_.size()) open_.resize(rank + 1);
-  events_.push_back(RawEvent{RawEvent::Type::Begin, kind, rank, t, name});
+  events_.push(RawEvent{RawEvent::Type::Begin, kind, rank, t, name});
   open_[static_cast<std::size_t>(rank)].push_back(Open{t, name, kind});
 }
 
@@ -57,14 +65,14 @@ void Recorder::end(int rank, util::SimTime t) {
   auto& stack = open_[static_cast<std::size_t>(rank)];
   const Open o = stack.back();
   stack.pop_back();
-  events_.push_back(RawEvent{RawEvent::Type::End, o.kind, rank, t, o.name});
+  events_.push(RawEvent{RawEvent::Type::End, o.kind, rank, t, o.name});
   spans_dirty_ = true;
 }
 
 void Recorder::instant(int rank, util::SimTime t, std::string name) {
   if (rank < 0) return;
   const std::uint32_t n = intern(std::move(name));
-  events_.push_back(
+  events_.push(
       RawEvent{RawEvent::Type::Instant, SpanKind::Other, rank, t, n});
   instants_.push_back(Instant{rank, t, names_[n]});
 }
@@ -72,7 +80,7 @@ void Recorder::instant(int rank, util::SimTime t, std::string name) {
 void Recorder::instant(int rank, util::SimTime t, const char* name) {
   if (rank < 0) return;
   const std::uint32_t n = intern(name);
-  events_.push_back(
+  events_.push(
       RawEvent{RawEvent::Type::Instant, SpanKind::Other, rank, t, n});
   instants_.push_back(Instant{rank, t, names_[n]});
 }
@@ -81,7 +89,7 @@ const std::vector<Span>& Recorder::materialized() const {
   if (!spans_dirty_) return spans_cache_;
   spans_cache_.clear();
   std::vector<std::vector<Open>> stacks;
-  for (const auto& e : events_) {
+  events_.for_each([&](const RawEvent& e) {
     switch (e.type) {
       case RawEvent::Type::Begin:
         if (static_cast<std::size_t>(e.rank) >= stacks.size())
@@ -101,7 +109,7 @@ const std::vector<Span>& Recorder::materialized() const {
       case RawEvent::Type::Instant:
         break;
     }
-  }
+  });
   spans_dirty_ = false;
   return spans_cache_;
 }
@@ -267,7 +275,8 @@ std::string Recorder::to_chrome_json() const {
 
   // Track naming metadata: one track per rank, pid 0 = the machine.
   int max_rank = -1;
-  for (const auto& e : events_) max_rank = std::max(max_rank, e.rank);
+  events_.for_each(
+      [&](const RawEvent& e) { max_rank = std::max(max_rank, e.rank); });
   for (int r = 0; r <= max_rank; ++r) {
     comma();
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
@@ -301,7 +310,7 @@ std::string Recorder::to_chrome_json() const {
   };
   // The raw log is chronological (engine time is nondecreasing), so per-
   // track timestamps are monotone and B/E pairs balance by construction.
-  for (const auto& e : events_) emit(e);
+  events_.for_each(emit);
   // Close anything still open at the latest recorded time, innermost first,
   // so the exported trace always balances even when a program left spans
   // open (e.g. a trace cut mid-run).
@@ -318,6 +327,7 @@ std::string Recorder::to_chrome_json() const {
 void Recorder::clear() {
   names_.clear();
   ptr_ids_.clear();
+  ptr_cache_.fill(PtrId{});
   events_.clear();
   instants_.clear();
   open_.clear();

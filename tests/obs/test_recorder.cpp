@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
 namespace ds::obs {
 namespace {
@@ -190,6 +192,40 @@ TEST(Recorder, ClearResetsEverything) {
   EXPECT_TRUE(r.instants().empty());
   EXPECT_EQ(r.dropped_ends(), 0u);
   EXPECT_EQ(r.open_depth(0), 0u);
+}
+
+TEST(Recorder, LongLogOverManyLiteralLabelsKeepsEveryLabel) {
+  // More distinct call-site labels than the pointer cache has slots, so
+  // labels share slots, and a log several chunks long; then the same after
+  // clear(), which restarts the label ids.
+  static char labels[40][8];
+  for (int i = 0; i < 40; ++i)
+    std::snprintf(labels[i], sizeof labels[i], "l%02d", i);
+  Recorder r;
+  for (int round = 0; round < 2; ++round) {
+    r.clear();
+    constexpr int kSpans = 10'000;
+    for (int i = 0; i < kSpans; ++i) {
+      const int rank = i % 7;
+      r.begin(rank, i, labels[(i * 13 + round) % 40], SpanKind::RecvBlocked);
+      r.end(rank, i + 1);
+    }
+    const std::vector<Span>& spans = r.intervals();
+    ASSERT_EQ(spans.size(), static_cast<std::size_t>(kSpans));
+    for (int i = 0; i < kSpans; ++i) {
+      const Span& s = spans[static_cast<std::size_t>(i)];
+      ASSERT_EQ(s.label, labels[(i * 13 + round) % 40]) << "span " << i;
+      ASSERT_EQ(s.rank, i % 7);
+      ASSERT_EQ(s.begin, i);
+      ASSERT_EQ(s.end, i + 1);
+    }
+    const std::string json = r.to_chrome_json();
+    std::size_t begins = 0;
+    for (std::size_t at = json.find("\"ph\":\"B\""); at != std::string::npos;
+         at = json.find("\"ph\":\"B\"", at + 1))
+      ++begins;
+    EXPECT_EQ(begins, static_cast<std::size_t>(kSpans));
+  }
 }
 
 TEST(SpanKindNames, AllDistinct) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace ds::sim {
@@ -165,6 +166,62 @@ TEST(Engine, DeterministicEventOrderAcrossRuns) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Engine, ActionsScheduledAtNowFireAfterEverythingQueuedForNow) {
+  // An action that schedules at now() queues behind every event already
+  // pending for that instant, however and whenever those were scheduled.
+  Engine eng;
+  std::vector<std::string> order;
+  auto log = [&order](const char* name) {
+    return [&order, name] { order.emplace_back(name); };
+  };
+  eng.schedule(10, [&] {
+    order.emplace_back("a");
+    eng.schedule(eng.now(), log("a.now"));
+    eng.schedule_after(0, log("a.after0"));
+    eng.schedule(11, log("a.later"));
+  });
+  eng.schedule(4, [&] {
+    order.emplace_back("early");
+    eng.schedule(10, log("early.at10"));  // queued before "a" runs
+  });
+  eng.schedule(10, [&] {
+    order.emplace_back("b");
+    eng.schedule(eng.now(), [&] {
+      order.emplace_back("b.now");
+      eng.schedule(eng.now(), log("b.now.now"));
+    });
+  });
+  eng.schedule(11, log("at11"));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "early", "a", "b", "early.at10", "a.now", "a.after0",
+                       "b.now", "b.now.now", "at11", "a.later"}));
+}
+
+TEST(Engine, FibersWokenAtOneInstantResumeInWakeOrder) {
+  // The waker wakes five suspended fibers in a scrambled order; an action
+  // queued for the same instant before the wakes still fires first.
+  Engine eng;
+  std::vector<int> order;
+  const std::vector<int> wake_order{3, 0, 4, 1, 2};
+  std::vector<int> pids;
+  for (int i = 0; i < 5; ++i)
+    pids.push_back(eng.spawn([&order, i](Process& p) {
+      p.suspend();
+      order.push_back(i);
+    }));
+  eng.schedule(7, [&order] { order.push_back(-1); });
+  eng.spawn([&](Process& p) {
+    p.advance(7);
+    for (const int i : wake_order)
+      p.engine().wake(pids[static_cast<std::size_t>(i)]);
+    order.push_back(-2);  // the waker keeps running until it yields
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, -2, 3, 0, 4, 1, 2}));
+  EXPECT_EQ(eng.now(), 7);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -204,6 +205,90 @@ TEST(EventQueue, SlotReuseKeepsSizeEmptyAndNextTime) {
   ASSERT_EQ(order.size(), 3 * one_round.size());
   for (std::size_t i = 0; i < order.size(); ++i)
     EXPECT_EQ(order[i], one_round[i % one_round.size()]) << "event " << i;
+}
+
+TEST(EventQueue, DifferentialAgainstSortedReferenceAcrossRadixPaths) {
+  // Thousands of interleaved pushes and pops, checked step by step against
+  // a sorted (time, seq) set. The push times cover every bucket path: the
+  // popped instant itself, offsets from 1 tick to 2^61 ticks, bursts at one
+  // time, and pushes earlier than the last pop (down past time 0).
+  enum Mode { kAtNow, kOffset, kBurst, kEarlier, kModes };
+  EventQueue q;
+  util::Rng rng(2024);
+  std::set<std::pair<util::SimTime, std::uint64_t>> pending;
+  std::vector<std::uint64_t> fired;
+  std::array<int, kModes> pushed_by_mode{};
+  std::array<int, 62> offsets_by_bit{};
+  std::uint64_t pushes = 0;
+  util::SimTime now = 0;  // last popped time
+  auto push = [&](util::SimTime t) {
+    const std::uint64_t mine = pushes++;
+    ASSERT_EQ(q.push(t, [&fired, mine] { fired.push_back(mine); }), mine);
+    pending.emplace(t, mine);
+  };
+  auto check_front = [&] {
+    ASSERT_EQ(q.size(), pending.size());
+    ASSERT_EQ(q.empty(), pending.empty());
+    ASSERT_EQ(q.next_time(),
+              pending.empty() ? util::kTimeInfinity : pending.begin()->first);
+  };
+  for (int step = 0; step < 40000; ++step) {
+    // Alternate phases that grow the queue to hundreds of events and phases
+    // that drain it, so both deep and near-empty queues are exercised.
+    const int push_percent = (step / 2000) % 2 == 0 ? 60 : 25;
+    if (pending.empty() || rng.uniform_int(0, 99) < push_percent) {
+      const auto mode = static_cast<Mode>(rng.uniform_int(0, kModes - 1));
+      ++pushed_by_mode[mode];
+      switch (mode) {
+        case kAtNow:
+          push(now);
+          break;
+        case kOffset: {
+          // Keep now + offset clear of INT64_MAX once `now` has grown.
+          const int max_bit = now < (util::SimTime{1} << 61) ? 61 : 20;
+          const int bit = static_cast<int>(rng.uniform_int(0, max_bit));
+          const util::SimTime low = util::SimTime{1} << bit;
+          ++offsets_by_bit[static_cast<std::size_t>(bit)];
+          push(now + low + rng.uniform_int(0, low - 1));
+          break;
+        }
+        case kBurst: {
+          const util::SimTime t = now + rng.uniform_int(0, 5);
+          for (auto i = rng.uniform_int(2, 8); i > 0; --i) push(t);
+          break;
+        }
+        case kEarlier: {
+          // From a large `now`, jump far back (past 0) so later offsets
+          // start low again; from a negative one, stay close.
+          const auto bit = rng.uniform_int(0, now > 0 ? 62 : 20);
+          push(now - rng.uniform_int(1, util::SimTime{1} << bit));
+          break;
+        }
+        case kModes:
+          break;
+      }
+    } else {
+      const auto ref = *pending.begin();
+      Event e = q.pop();
+      ASSERT_EQ(e.time, ref.first) << "step " << step;
+      ASSERT_EQ(e.seq, ref.second) << "step " << step;
+      e.action();  // the action travelled with its own key
+      ASSERT_EQ(fired.back(), ref.second);
+      now = e.time;
+      pending.erase(pending.begin());
+    }
+    check_front();
+  }
+  while (!pending.empty()) {
+    const auto ref = *pending.begin();
+    Event e = q.pop();
+    ASSERT_EQ(e.time, ref.first);
+    ASSERT_EQ(e.seq, ref.second);
+    pending.erase(pending.begin());
+    check_front();
+  }
+  for (const int n : pushed_by_mode) EXPECT_GT(n, 1000);
+  for (const int n : offsets_by_bit) EXPECT_GT(n, 10);
 }
 
 }  // namespace
