@@ -1,6 +1,7 @@
 #include "mpi/group.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace ds::mpi {
@@ -25,6 +26,14 @@ Group::Group(std::vector<int> world_ranks) : members_(std::move(world_ranks)) {
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
     throw std::invalid_argument("Group: duplicate world rank");
   const auto split = std::is_sorted_until(members_.begin(), members_.end());
+  if (split == members_.end() &&
+      (members_.empty() || std::int64_t{members_.back()} - members_.front() ==
+                               size() - 1)) {
+    // One ascending run without duplicates spanning size() values: [b, b+n).
+    run_end_ = kContiguous;
+    base_ = members_.empty() ? 0 : members_.front();
+    return;
+  }
   run_end_ = std::is_sorted(split, members_.end())
                  ? static_cast<int>(split - members_.begin())
                  : kUnsorted;
@@ -41,6 +50,14 @@ int Group::world_rank(int r) const {
 }
 
 int Group::rank_of(int world_rank) const noexcept {
+  if (run_end_ == kContiguous) {
+    // Unsigned wrap sends every world rank below base_ past size() too.
+    const unsigned offset =
+        static_cast<unsigned>(world_rank) - static_cast<unsigned>(base_);
+    return offset < static_cast<unsigned>(members_.size())
+               ? static_cast<int>(offset)
+               : -1;
+  }
   if (run_end_ == kUnsorted) {
     for (std::size_t i = 0; i < members_.size(); ++i)
       if (members_[i] == world_rank) return static_cast<int>(i);

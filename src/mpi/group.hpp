@@ -5,12 +5,16 @@
 // those splits produce.
 //
 // rank_of sits on every point-to-point call (membership check), so it must
-// not scan the members. Every group the runtime builds is at most two
-// ascending runs of world ranks — the world group and colour splits are
-// one run, a channel's "producers, then consumers" list is two — so the
-// group records where its first run ends and binary-searches each run. A
-// group of more runs (an `include` with an arbitrary permutation) falls
-// back to the linear scan. One int per group, no side tables. Groups that
+// not scan the members. The group classifies its shape once, at
+// construction:
+//  * one contiguous ascending run [b, b+n) — the world group and contiguous
+//    splits — answers by a subtraction and a range check;
+//  * otherwise at most two ascending runs — a strided colour split is one,
+//    a channel's "producers, then consumers" list is two — binary-searches
+//    each run;
+//  * a group of more runs (an `include` with an arbitrary permutation)
+//    falls back to the linear scan.
+// Two ints per group, no side tables. Groups that
 // every rank of a set-up step derives alike (a channel's member list, a
 // split colour) are interned once per machine (Machine::intern_comm and the
 // channel shape), so all ranks share one member vector.
@@ -35,7 +39,8 @@ class Group {
   [[nodiscard]] int world_rank(int r) const;
 
   /// Rank of `world_rank` in this group, or -1 if not a member.
-  /// O(log size) for groups of at most two ascending runs, else O(size).
+  /// O(1) for a contiguous ascending run, O(log size) for groups of at most
+  /// two ascending runs, else O(size).
   [[nodiscard]] int rank_of(int world_rank) const noexcept;
   [[nodiscard]] bool contains(int world_rank) const noexcept {
     return rank_of(world_rank) >= 0;
@@ -63,11 +68,14 @@ class Group {
 
  private:
   static constexpr int kUnsorted = -1;
+  static constexpr int kContiguous = -2;
 
   std::vector<int> members_;  // position (group rank) -> world rank
   // End of the first ascending run of members_; the rest is one ascending
-  // run too, or the group is kUnsorted.
-  int run_end_ = 0;
+  // run too. Or kContiguous: members_ is [base_, base_ + size()). Or
+  // kUnsorted.
+  int run_end_ = kContiguous;
+  int base_ = 0;
 };
 
 }  // namespace ds::mpi

@@ -147,24 +147,28 @@ void Machine::kill_rank(int world_rank) {
   }
   if (metrics_) metrics_->counter("resilience.crashes", world_rank).add();
 
-  // Drain the dead rank's mailbox. Unexpected arrivals are dropped — taking
-  // them releases the queue's references, so the pooled send ops recycle
-  // (completing any rendezvous sender still waiting on a match). Posted
-  // receives complete with Status::failed, waking the dead fiber so its next
-  // wait() observes the crash and unwinds.
+  // Drain the dead rank's mailbox. Unexpected arrivals are dropped — once
+  // their queue references go, the pooled send ops recycle (completing any
+  // rendezvous sender still waiting on a match). Posted receives complete
+  // with Status::failed, waking the dead fiber so its next wait() observes
+  // the crash and unwinds. Collect before completing: a continuation may
+  // post a receive to this very mailbox, and touch() can insert or sweep
+  // buckets of the map being walked.
   auto& box = mailboxes_.at(static_cast<std::size_t>(world_rank));
+  const auto any = [](const auto&) { return true; };
+  std::vector<Request> drained;
   for (auto& [context, q] : box.contexts) {
     (void)context;
-    while (!q.unexpected.empty()) {
-      const auto msg = q.unexpected.take(0);
-      if (!msg->complete) complete_op(*msg);
-    }
-    while (!q.posted.empty()) {
-      const auto recv = q.posted.take(0);
-      recv->status = Status{};
-      recv->status.failed = true;
-      complete_op(*recv);
-    }
+    while (auto msg = q.unexpected.take_first(any))
+      drained.push_back(std::move(msg));
+    while (auto recv = q.posted.take_first(any))
+      drained.push_back(std::move(recv));
+  }
+  for (const Request& op : drained) {
+    if (op->kind == detail::OpKind::Recv)
+      fail_recv(static_cast<detail::RecvOp&>(*op));
+    else if (!op->complete)
+      complete_op(*op);
   }
   // The dead fiber may be parked in probe(); wake it so it can unwind.
   for (const int pid : box.probe_waiters) engine_.wake(pid);
@@ -175,24 +179,24 @@ void Machine::kill_rank(int world_rank) {
   // with Status::failed so failure-aware callers (collectives, p2p waits,
   // aggregated IO) observe the crash instead of deadlocking. Collect before
   // completing: completions run continuations that post new receives into
-  // the very queues being scanned (and can create new context buckets);
-  // interior take() erases, so scan each queue high-to-low.
+  // the very queues being scanned (and can create new context buckets).
+  // Within one queue they complete newest first.
   std::vector<detail::OpRef<detail::RecvOp>> orphaned;
+  const auto names_dead = [world_rank](const detail::RecvOp& recv) {
+    return recv.src_world == world_rank;
+  };
   for (int r = 0; r < config_.world_size; ++r) {
     if (r == world_rank || dead_[static_cast<std::size_t>(r)] != 0) continue;
     for (auto& [context, q] : mailboxes_[static_cast<std::size_t>(r)].contexts) {
       (void)context;
-      for (std::size_t i = q.posted.size(); i-- > 0;) {
-        if (q.posted[i]->src_world == world_rank)
-          orphaned.push_back(q.posted.take(i));
-      }
+      const std::size_t first = orphaned.size();
+      while (auto recv = q.posted.take_first(names_dead))
+        orphaned.push_back(std::move(recv));
+      std::reverse(orphaned.begin() + static_cast<std::ptrdiff_t>(first),
+                   orphaned.end());
     }
   }
-  for (const auto& recv : orphaned) {
-    recv->status = Status{};
-    recv->status.failed = true;
-    complete_op(*recv);
-  }
+  for (const auto& recv : orphaned) fail_recv(*recv);
 
   // Wake blocked protocol loops (credit waits) on every rank: routing toward
   // the dead rank must be re-evaluated.
@@ -259,6 +263,12 @@ std::uint64_t Machine::derive_context(std::uint64_t parent, std::uint64_t salt,
   (void)util::splitmix64(state);
   state ^= color * 0xC2B2AE3D27D4EB4Full;
   return util::splitmix64(state) | 1ull;  // never 0 (0 = invalid)
+}
+
+void Machine::fail_recv(detail::RecvOp& recv) {
+  recv.status = Status{};
+  recv.status.failed = true;
+  complete_op(recv);
 }
 
 void Machine::complete_op(detail::OpState& op) {
@@ -349,16 +359,13 @@ detail::OpRef<detail::RecvOp> Machine::post_recv(std::uint64_t context,
   op->fused_wake = fused_wake;
   op->src_world = src_world;
 
-  auto& box = mailboxes_.at(static_cast<std::size_t>(dst_world));
-  auto& q = box.touch(context);
+  auto& q = mailboxes_.at(static_cast<std::size_t>(dst_world)).touch(context);
   // The unexpected queue is scanned first even when the named sender is
   // already dead: a message that outran the crash still matches.
-  for (std::size_t i = 0; i < q.unexpected.size(); ++i) {
-    if (detail::matches(*op, *q.unexpected[i])) {
-      const auto send = q.unexpected.take(i);
-      start_transfer(op, send);
-      return op;
-    }
+  if (const auto send = q.unexpected.take_first(
+          [&](const detail::SendOp& s) { return detail::matches(*op, s); })) {
+    start_transfer(op, send);
+    return op;
   }
   if (rank_failed(dst_world) || (src_world >= 0 && rank_failed(src_world))) {
     // Satisfied-by-failure: either the only sender that could match is dead,
@@ -366,9 +373,7 @@ detail::OpRef<detail::RecvOp> Machine::post_recv(std::uint64_t context,
     // receive could never complete. Failing it immediately lets a crashed
     // rank's collective state machine run to structural completion (event
     // context, no fiber) instead of parking pool slots in a dead mailbox.
-    op->status = Status{};
-    op->status.failed = true;
-    complete_op(*op);
+    fail_recv(*op);
     return op;
   }
   q.posted.push_back(op);
@@ -391,12 +396,10 @@ void Machine::deposit(const detail::OpRef<detail::SendOp>& msg) {
   }
   auto& box = mailboxes_.at(static_cast<std::size_t>(msg->dst_world));
   auto& q = box.touch(msg->context);
-  for (std::size_t i = 0; i < q.posted.size(); ++i) {
-    if (detail::matches(*q.posted[i], *msg)) {
-      const auto recv = q.posted.take(i);
-      start_transfer(recv, msg);
-      return;
-    }
+  if (const auto recv = q.posted.take_first(
+          [&](const detail::RecvOp& r) { return detail::matches(r, *msg); })) {
+    start_transfer(recv, msg);
+    return;
   }
   q.unexpected.push_back(msg);
   if (!box.probe_waiters.empty()) {
@@ -444,15 +447,13 @@ bool Machine::match_probe(std::uint64_t context, int dst_world, int src_filter,
   const auto& box = mailboxes_.at(static_cast<std::size_t>(dst_world));
   const auto it = box.contexts.find(context);
   if (it == box.contexts.end()) return false;
-  const auto& unexpected = it->second.unexpected;
-  for (std::size_t i = 0; i < unexpected.size(); ++i) {
-    const auto& msg = unexpected[i];
-    if (detail::matches_filters(src_filter, tag_filter, *msg)) {
-      if (out) *out = Status{msg->src_comm_rank, msg->tag, msg->bytes};
-      return true;
-    }
-  }
-  return false;
+  const detail::SendOp* msg =
+      it->second.unexpected.find_first([&](const detail::SendOp& s) {
+        return detail::matches_filters(src_filter, tag_filter, s);
+      });
+  if (msg == nullptr) return false;
+  if (out) *out = Status{msg->src_comm_rank, msg->tag, msg->bytes};
+  return true;
 }
 
 void Machine::add_probe_waiter(int dst_world, int pid) {

@@ -243,6 +243,8 @@ class Machine {
                       const detail::OpRef<detail::SendOp>& send);
   void finish_delivery(const detail::OpRef<detail::RecvOp>& recv,
                        const detail::OpRef<detail::SendOp>& send);
+  /// Complete a receive that can never match with Status::failed.
+  void fail_recv(detail::RecvOp& recv);
 
   MachineConfig config_;
   // The pools are declared first: engine events and mailbox queues hold

@@ -9,7 +9,7 @@
 // Hot-path design (the simulate-one-element path must not allocate):
 //  * SendOp/RecvOp are intrusively reference-counted and come from per-type
 //    freelist pools owned by the Machine. Handles (OpRef / Request), queue
-//    slots, and scheduled events each hold a reference; when the last drops,
+//    links, and scheduled events each hold a reference; when the last drops,
 //    the op returns to its pool's freelist with its generation counter
 //    bumped — a completed op is reused across the run, never reallocated,
 //    and a still-held handle pins its op so it cannot be resurrected into a
@@ -19,7 +19,13 @@
 //    survives recycling, so even rendezvous-class reuse is allocation-free
 //    in steady state.
 //  * Matching state is bucketed per context id (communicator / stream), so
-//    concurrent streams on one rank never scan each other's traffic.
+//    concurrent streams on one rank never scan each other's traffic. A
+//    mailbox remembers its last bucket, so back-to-back traffic on one
+//    context skips the hash lookup.
+//  * The posted and unexpected queues are intrusive FIFOs threaded through
+//    the ops' own link: a queue is two pointers, push and unlink are O(1),
+//    and an idle bucket reserves no storage. Probes rarely see more than
+//    one queued op, so the cost is the dependent loads, not the scan.
 //  * Collective state machines remain individually heap-allocated (pool ==
 //    nullptr => delete on last release): they are per-collective, not
 //    per-element.
@@ -48,13 +54,15 @@ enum class OpKind : std::uint8_t { Send, Recv, Coll };
 struct OpState {
   OpKind kind = OpKind::Coll;
   bool complete = false;
-  std::uint32_t refs = 0;       ///< handles + queue slots + scheduled events
+  std::uint32_t refs = 0;       ///< handles + queue links + scheduled events
   std::uint32_t gen = 0;        ///< bumped each time a pooled op is recycled
   int waiter_pid = -1;          ///< fiber to wake on completion
   sim::Callback on_complete;    ///< event-context continuation
   Status status{};              ///< filled in for receive-like ops
   OpPoolBase* pool = nullptr;   ///< home pool; null = heap-owned (delete)
-  OpState* next_free = nullptr; ///< intrusive freelist link while recycled
+  /// Intrusive link: the pool's freelist while recycled (refs == 0), the
+  /// one matching queue holding the op while queued (refs >= 1), else null.
+  OpState* next = nullptr;
 
   OpState() = default;
   explicit OpState(OpKind k) noexcept : kind(k) {}
@@ -148,6 +156,14 @@ class OpRef {
     T* op = op_;
     op_ = nullptr;
     return op;
+  }
+
+  /// Take over a reference already counted in `op->refs` (the inverse of
+  /// detach).
+  [[nodiscard]] static OpRef adopt(T* op) noexcept {
+    OpRef ref;
+    ref.op_ = op;
+    return ref;
   }
 
  private:
@@ -282,8 +298,8 @@ class OpPool final : public OpPoolBase {
     ++stats_.acquired;
     if (free_head_ != nullptr) {
       T* op = static_cast<T*>(free_head_);
-      free_head_ = op->next_free;
-      op->next_free = nullptr;
+      free_head_ = op->next;
+      op->next = nullptr;
       return OpRef<T>(op);
     }
     ++stats_.created;
@@ -300,7 +316,7 @@ class OpPool final : public OpPoolBase {
     // recursively releasing them; each inner release completes before the
     // outer freelist push, so the list stays consistent.
     static_cast<T*>(op)->reset_for_reuse();
-    op->next_free = free_head_;
+    op->next = free_head_;
     free_head_ = op;
   }
 
@@ -315,61 +331,76 @@ class OpPool final : public OpPoolBase {
   OpPoolStats stats_;
 };
 
-/// FIFO over vector storage with a sliding head: push at the tail, match
-/// scans and removals start at the oldest element. Preferred over
-/// std::deque here because a deque recycles its block nodes as the queue
-/// oscillates, which shows up as steady-state allocation churn in the
-/// per-element hot path; vector capacity is retained across drain cycles.
+/// FIFO of pooled ops threaded through OpState::next: push at the tail,
+/// scans start at the oldest op, and a match found mid-scan unlinks in O(1)
+/// through the predecessor the scan already holds. The queue holds one
+/// reference per linked op. No storage of its own, so an idle bucket costs
+/// two pointers and a queue never allocates.
 template <typename T>
-class FifoQueue {
+class OpQueue {
  public:
-  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return items_.size() - head_;
-  }
-  /// i-th live element, 0 = oldest.
-  [[nodiscard]] T& operator[](std::size_t i) noexcept {
-    return items_[head_ + i];
-  }
-  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
-    return items_[head_ + i];
-  }
-
-  void push_back(T value) {
-    // First touch reserves the whole steady-state regime: the sliding head
-    // compacts at kCompactAt, so a queue that never fully drains needs up to
-    // ~2*kCompactAt slots. Growing there lazily would land mid-run — a
-    // bounded-but-late allocation the zero-alloc steady-state gate (and its
-    // two-length delta method) would misread as a per-element cost.
-    if (items_.capacity() == 0) items_.reserve(2 * kCompactAt);
-    items_.push_back(std::move(value));
-  }
-
-  /// Remove and return the i-th live element. Head removal slides the
-  /// window (amortized O(1)); interior removal shifts the tail (rare: a
-  /// filtered match sitting behind older traffic of the same context).
-  [[nodiscard]] T take(std::size_t i) {
-    T out = std::move(items_[head_ + i]);
-    if (i == 0) {
-      ++head_;
-      if (head_ == items_.size()) {
-        items_.clear();  // keeps capacity
-        head_ = 0;
-      } else if (head_ >= kCompactAt && head_ * 2 >= items_.size()) {
-        items_.erase(items_.begin(),
-                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    } else {
-      items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(head_ + i));
+  OpQueue() noexcept = default;
+  OpQueue(const OpQueue&) = delete;
+  OpQueue& operator=(const OpQueue&) = delete;
+  ~OpQueue() {
+    T* op = head_;
+    head_ = tail_ = nullptr;
+    while (op != nullptr) {
+      T* const after = next_of(op);
+      op->next = nullptr;
+      unref_op(op);
+      op = after;
     }
-    return out;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
+
+  void push_back(const OpRef<T>& op) {
+    T* const p = OpRef<T>(op).detach();  // the queue's reference
+    p->next = nullptr;
+    if (tail_ != nullptr)
+      tail_->next = p;
+    else
+      head_ = p;
+    tail_ = p;
+  }
+
+  /// Oldest op satisfying `pred`, or null; the queue is unchanged.
+  template <typename Pred>
+  [[nodiscard]] const T* find_first(Pred pred) const {
+    for (const T* op = head_; op != nullptr; op = next_of(op))
+      if (pred(*op)) return op;
+    return nullptr;
+  }
+
+  /// Unlink and return the oldest op satisfying `pred`, or null.
+  template <typename Pred>
+  [[nodiscard]] OpRef<T> take_first(Pred pred) {
+    for (T *prev = nullptr, *op = head_; op != nullptr;
+         prev = op, op = next_of(op)) {
+      if (pred(*op)) return unlink(prev, op);
+    }
+    return nullptr;
   }
 
  private:
-  static constexpr std::size_t kCompactAt = 64;
-  std::vector<T> items_;
-  std::size_t head_ = 0;
+  [[nodiscard]] static T* next_of(const T* op) noexcept {
+    return static_cast<T*>(op->next);
+  }
+
+  [[nodiscard]] OpRef<T> unlink(T* prev, T* op) noexcept {
+    T* const after = next_of(op);
+    if (prev != nullptr)
+      prev->next = after;
+    else
+      head_ = after;
+    if (tail_ == op) tail_ = prev;
+    op->next = nullptr;
+    return OpRef<T>::adopt(op);
+  }
+
+  T* head_ = nullptr;
+  T* tail_ = nullptr;
 };
 
 /// Matching filters against an arrived message (context equality is the
@@ -387,10 +418,12 @@ class FifoQueue {
 /// Unexpected arrivals and posted receives of one matching context, both in
 /// arrival/post order, per MPI matching semantics. A single FIFO per context
 /// preserves per-(context, source) arrival order, and wildcard receives see
-/// the earliest arrival of the context first.
+/// the earliest arrival of the context first. Both queues are intrusive, so
+/// a bucket is five words whatever traffic it has seen; in practice a queue
+/// holds zero or one op when a match probes it.
 struct ContextQueues {
-  FifoQueue<OpRef<SendOp>> unexpected;
-  FifoQueue<OpRef<RecvOp>> posted;
+  OpQueue<SendOp> unexpected;
+  OpQueue<RecvOp> posted;
   bool touched = true;  ///< traffic since the last sweep
 
   [[nodiscard]] bool drained() const noexcept {
@@ -408,25 +441,37 @@ struct ContextQueues {
 /// messages constantly) carry the touched mark and are never churned, so
 /// the steady state stays allocation-free while dead contexts (short-lived
 /// communicators/streams) cannot accumulate without bound.
+///
+/// Most mailboxes see one context at a time, so `touch` first checks a
+/// one-entry slot holding the last bucket it returned. Map nodes never move
+/// (rehashing relinks them), so the slot stays valid until sweep() erases
+/// that very node, which clears it.
 struct Mailbox {
   static constexpr std::uint32_t kSweepInterval = 1024;
 
   std::unordered_map<std::uint64_t, ContextQueues> contexts;
   std::vector<int> probe_waiters;  ///< pids to wake on any new arrival
   std::uint32_t ops_since_sweep = 0;
+  std::uint64_t hot_context = 0;
+  ContextQueues* hot = nullptr;  ///< bucket of hot_context; null = none
 
   /// Bucket for `context`, marked live for this sweep interval.
   [[nodiscard]] ContextQueues& touch(std::uint64_t context) {
-    ContextQueues& q = contexts[context];
+    if (hot == nullptr || hot_context != context) {
+      hot = &contexts[context];
+      hot_context = context;
+    }
+    ContextQueues& q = *hot;
     q.touched = true;
     if (++ops_since_sweep >= kSweepInterval) sweep();
-    return q;  // erase() of other nodes never invalidates this reference
+    return q;  // sweep() never erases a bucket marked touched
   }
 
   void sweep() {
     ops_since_sweep = 0;
     for (auto it = contexts.begin(); it != contexts.end();) {
       if (!it->second.touched && it->second.drained()) {
+        if (&it->second == hot) hot = nullptr;
         it = contexts.erase(it);
       } else {
         it->second.touched = false;
@@ -439,7 +484,7 @@ struct Mailbox {
 }  // namespace detail
 
 /// Public handle to any asynchronous operation. Holding a Request pins the
-/// op: pooled op states recycle only after every handle, queue slot, and
+/// op: pooled op states recycle only after every handle, queue link, and
 /// scheduled event has released its reference.
 using Request = detail::OpRef<detail::OpState>;
 

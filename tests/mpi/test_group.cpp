@@ -68,11 +68,11 @@ TEST(Group, Equality) {
 }
 
 /// rank_of must agree with a linear scan for every world rank in
-/// [-1, max + 2], members and non-members alike.
+/// [-2, max + 2], members and non-members alike.
 void expect_rank_of_matches_scan(const Group& g) {
   const std::vector<int>& m = g.members();
   const int max = m.empty() ? 0 : *std::max_element(m.begin(), m.end());
-  for (int w = -1; w <= max + 2; ++w) {
+  for (int w = -2; w <= max + 2; ++w) {
     const auto it = std::find(m.begin(), m.end(), w);
     const int expected =
         it == m.end() ? -1 : static_cast<int>(it - m.begin());
@@ -121,6 +121,20 @@ TEST(Group, RankOfMatchesScanOnSingleAndEmpty) {
   expect_rank_of_matches_scan(Group());
   expect_rank_of_matches_scan(Group(std::vector<int>{}));
   EXPECT_EQ(Group().rank_of(0), -1);
+}
+
+TEST(Group, RankOfMatchesLinearScanOnEveryShape) {
+  // One group of each shape rank_of distinguishes: contiguous runs from 0
+  // and from an offset, one run with gaps, two runs, an arbitrary order, a
+  // single member, and no members.
+  expect_rank_of_matches_scan(Group::world(64));
+  expect_rank_of_matches_scan(Group::world(128).filter_by_position(
+      [](int r) { return r >= 37 && r < 37 + 50; }));
+  expect_rank_of_matches_scan(Group({2, 3, 5, 8, 13, 21}));
+  expect_rank_of_matches_scan(Group({10, 11, 12, 13, 0, 1, 2}));
+  expect_rank_of_matches_scan(Group::world(12).include({4, 9, 0, 11, 3}));
+  expect_rank_of_matches_scan(Group({7}));
+  expect_rank_of_matches_scan(Group());
 }
 
 }  // namespace

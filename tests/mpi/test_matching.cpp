@@ -269,5 +269,89 @@ TEST(Matching, ManyContextsMatchIndependently) {
   });
 }
 
+TEST(Matching, ArrivalAfterTakingLastUnexpectedQueuesBehindTheRest) {
+  // A tag-filtered receive takes the newest unexpected message, so the queue
+  // loses its tail; a later arrival must still queue behind the older ones.
+  std::vector<int> seen;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    if (self.world_rank() == 0) {
+      for (int i = 0; i < 3; ++i) self.send(self.world(), 1, 1, SendBuf::of(&i, 1));
+      const int marked = 99;
+      self.send(self.world(), 1, 2, SendBuf::of(&marked, 1));
+      self.process().advance(util::milliseconds(2));
+      const int late = 3;
+      self.send(self.world(), 1, 1, SendBuf::of(&late, 1));
+    } else {
+      self.process().advance(util::milliseconds(1));  // all four queued
+      int value = -1;
+      (void)self.recv(self.world(), 0, 2, RecvBuf::of(&value, 1));
+      EXPECT_EQ(value, 99);
+      self.process().advance(util::milliseconds(5));  // the late one queued
+      for (int i = 0; i < 4; ++i) {
+        (void)self.recv(self.world(), kAnySource, kAnyTag, RecvBuf::of(&value, 1));
+        seen.push_back(value);
+      }
+    }
+  });
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Matching, ReceivePostedAfterTakingLastPostedQueuesBehindTheRest) {
+  // The same for the posted queue: an arrival matches the newest posted
+  // receive, and a receive posted afterwards matches after the older ones.
+  std::vector<int> values(4, -1);
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    if (self.world_rank() == 0) {
+      self.process().advance(util::milliseconds(1));
+      const int marked = 99;
+      self.send(self.world(), 1, 2, SendBuf::of(&marked, 1));
+      self.process().advance(util::milliseconds(2));
+      for (int i = 0; i < 3; ++i) self.send(self.world(), 1, 1, SendBuf::of(&i, 1));
+    } else {
+      std::vector<Request> reqs;
+      reqs.push_back(self.irecv(self.world(), 0, 1, RecvBuf::of(&values[0], 1)));
+      reqs.push_back(self.irecv(self.world(), 0, 1, RecvBuf::of(&values[1], 1)));
+      const Request marked =
+          self.irecv(self.world(), 0, 2, RecvBuf::of(&values[3], 1));
+      self.wait(marked);
+      reqs.push_back(self.irecv(self.world(), 0, 1, RecvBuf::of(&values[2], 1)));
+      self.wait_all(reqs);
+    }
+  });
+  EXPECT_EQ(values, (std::vector<int>{0, 1, 2, 99}));
+}
+
+TEST(Matching, OpsQueuedAtRunEndAreCountedAndReleased) {
+  // A run may end with messages nobody received and receives nobody
+  // matched. They stay pinned by their queues, so the pools report them as
+  // outstanding, and destroying the machine releases them (sanitizer builds
+  // check that release).
+  int unmatched = -1;  // outlives the machine that keeps pointing at it
+  Machine machine(testing::tiny_machine(2));
+  bool late_probed = false;
+  bool early_probed = false;
+  machine.run([&](Rank& self) {
+    if (self.world_rank() == 0) {
+      for (int tag = 1; tag <= 2; ++tag)
+        self.send(self.world(), 1, tag, SendBuf::of(&tag, 1));
+      self.process().advance(util::milliseconds(2));
+      const int late = 3;
+      self.send(self.world(), 1, 3, SendBuf::of(&late, 1));
+      return;
+    }
+    self.process().advance(util::milliseconds(1));
+    int value = -1;
+    (void)self.recv(self.world(), 0, 2, RecvBuf::of(&value, 1));  // the tail
+    (void)self.irecv(self.world(), 0, 7, RecvBuf::of(&unmatched, 1));
+    self.process().advance(util::milliseconds(5));
+    late_probed = self.iprobe(self.world(), 0, 3);
+    early_probed = self.iprobe(self.world(), 0, 1);
+  });
+  EXPECT_TRUE(late_probed);
+  EXPECT_TRUE(early_probed);
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 2u);  // tags 1 and 3
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 1u);  // tag 7
+}
+
 }  // namespace
 }  // namespace ds::mpi

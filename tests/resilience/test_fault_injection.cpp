@@ -249,5 +249,54 @@ TEST(FaultInjection, ComputeDegradeSlowsCrashedWindowDeterministically) {
   EXPECT_EQ(measure(true), 4 * measure(false));
 }
 
+TEST(FaultInjection, OrphanedReceivesFailNewestFirstAmongOthers) {
+  // Receives naming the dying peer, interleaved with receives from a live
+  // one: the crash completes the orphans newest first, the others stay
+  // queued in post order, and a receive posted after the crash queues
+  // behind them.
+  auto config = testing::tiny_machine(3);
+  config.faults.crash(1, util::microseconds(50));
+  std::vector<int> order;
+  std::vector<int> values(6, -1);
+  std::vector<bool> failed(6, false);
+  mpi::Machine machine(config);
+  machine.run([&](Rank& self) {
+    if (self.world_rank() == 1) {
+      self.compute(util::milliseconds(1));  // dies inside this segment
+      return;
+    }
+    if (self.world_rank() == 2) {
+      self.compute(util::microseconds(200));  // only after the crash
+      for (int i = 0; i < 3; ++i) self.send(self.world(), 0, 4, SendBuf::of(&i, 1));
+      return;
+    }
+    mpi::Machine& m = self.machine();
+    std::vector<mpi::Request> reqs;
+    const auto post = [&](int id, int src) {
+      reqs.push_back(m.post_recv(
+          self.world().context(), 0, src, 4,
+          RecvBuf::of(&values[static_cast<std::size_t>(id)], 1),
+          [&order, id] { order.push_back(id); }, /*fused_wake=*/false,
+          /*src_world=*/src));
+    };
+    post(0, 1);
+    post(1, 2);
+    post(2, 1);
+    post(3, 2);
+    post(4, 1);
+    self.compute(util::microseconds(100));  // the crash lands here
+    post(5, 2);
+    self.wait_all(reqs);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+      failed[i] = reqs[i]->status.failed;
+  });
+  EXPECT_EQ(order, (std::vector<int>{4, 2, 0, 1, 3, 5}));
+  EXPECT_EQ(failed, (std::vector<bool>{true, false, true, false, true, false}));
+  EXPECT_EQ(values[1], 0);
+  EXPECT_EQ(values[3], 1);
+  EXPECT_EQ(values[5], 2);
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);
+}
+
 }  // namespace
 }  // namespace ds
