@@ -8,7 +8,7 @@
 // finishes, its own stream terminates, and so on — no explicit termination
 // calls anywhere.
 //
-// The example also shows StreamOptions::max_inflight, the facade's
+// The example also shows StreamOptions::channel.max_inflight, the facade's
 // credit-based backpressure: compute ranks may run at most 8 unconsumed
 // samples ahead of the reducers, so a slow consumer throttles producers
 // instead of letting queues grow without bound.
@@ -49,7 +49,7 @@ int main() {
     const auto write = pipeline.stage([](int r) { return r == 11; });
 
     decouple::StreamOptions throttled;
-    throttled.max_inflight = 8;  // backpressure: stay <= 8 samples ahead
+    throttled.channel.max_inflight = 8;  // backpressure: <= 8 samples ahead
     const auto samples =
         pipeline.stream_between<Sample>(compute, reduce, 0, throttled);
     const auto partials = pipeline.stream_between<Partial>(reduce, write);

@@ -39,7 +39,7 @@ int main() {
     // One analytics process per 4 simulation processes; RoundRobin spreads
     // snapshots over all of them.
     decouple::StreamOptions options;
-    options.mapping = decouple::Mapping::RoundRobin;
+    options.channel.mapping = decouple::Mapping::RoundRobin;
     auto pipeline = decouple::Pipeline::over(self, self.world()).with_stride(4);
     auto snapshots = pipeline.stream<SnapshotHeader>(
         kCellsPerRank * sizeof(double), options);

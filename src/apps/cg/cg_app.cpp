@@ -280,7 +280,7 @@ CgResult run_cg(HaloVariant variant, const CgConfig& config,
              : shape.face_bytes());
 
     decouple::StreamOptions to_helpers;
-    to_helpers.mapping = decouple::Mapping::Directed;
+    to_helpers.channel.mapping = decouple::Mapping::Directed;
     decouple::StreamOptions to_workers = to_helpers;
     to_workers.direction = decouple::Direction::ToWorkers;
 

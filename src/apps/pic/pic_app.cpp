@@ -223,7 +223,7 @@ void run_decoupled_program(Rank& self, const PicConfig& cfg, const Domain& domai
   // flushes the moment the worker blocks waiting on its closes.
   decouple::StreamOptions back_options;
   back_options.direction = decouple::Direction::ToWorkers;
-  back_options.mapping = decouple::Mapping::Directed;
+  back_options.channel.mapping = decouple::Mapping::Directed;
   // CLOSE notifications are small directed records fanning from each helper
   // to its workers: frames pack a helper's same-instant closes per worker.
 

@@ -159,9 +159,7 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
       // batches stream runs manual durability: a writer's batches become
       // durable only when their bytes reach the file, so a writer crash
       // replays exactly the unflushed tail to the adopting writer.
-      resilience::ResilienceOptions ro;
-      ro.checkpoint_interval = config.checkpoint_interval;
-      pipeline.with_resilience(ro);
+      pipeline.with_resilience(config.checkpoint_interval);
     }
     const auto compute_stage = pipeline.stage(
         chained ? std::vector<int>(worker_ranks.begin(), worker_ranks.end() - 1)
@@ -175,8 +173,8 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
     if (resilient) {
       // Writers have external effects: batches become durable at the file
       // flush, not at consumption (see ack_durable in write_fn below).
-      batch_options.checkpoint_interval = config.checkpoint_interval;
-      batch_options.manual_durability = true;
+      batch_options.channel.checkpoint_interval = config.checkpoint_interval;
+      batch_options.channel.manual_durability = true;
       // Resilient termination runs the release barrier: producers stay in
       // their release wait — replay logs alive, terms re-sendable — and
       // writers stay in operate() until every writer has flushed and acked
@@ -191,7 +189,7 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
     if (chained) {
       summaries = pipeline.stream_between<DumpSummary>(compute_stage, reduce_stage);
       decouple::StreamOptions directed;
-      directed.mapping = decouple::Mapping::Directed;
+      directed.channel.mapping = decouple::Mapping::Directed;
       manifests = pipeline.stream_between<WriterManifest>(reduce_stage, write_stage,
                                                           0, directed);
     }

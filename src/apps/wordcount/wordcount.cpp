@@ -183,9 +183,9 @@ WordcountResult run_decoupled(const WordcountConfig& config,
     // frames (vocabulary-sized real blocks travel alone, one per frame), and
     // self-tuning keeps the frame budget matched to the block-size mix while
     // the reducers ack whole frames instead of per element. Nothing here
-    // needs pinning — set StreamOptions::coalesce_budget = 0 on a hop to
-    // recover the paper's one-message-per-element traffic for comparison
-    // runs.
+    // needs pinning — set StreamOptions::channel.coalesce_budget = 0 on a
+    // hop to recover the paper's one-message-per-element traffic for
+    // comparison runs.
     const auto blocks = pipeline.raw_stream_between(
         map_stage, master_only ? master_stage : reduce_stage, element_capacity);
     decouple::RawStreamHandle updates;

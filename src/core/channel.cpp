@@ -72,7 +72,6 @@ namespace {
 /// child index, so subtree walks ascend.
 std::vector<int> node_aware_parents(const std::vector<int>& consumer_node) {
   const int consumers = static_cast<int>(consumer_node.size());
-  if (consumers <= 1) return {};  // a single consumer needs no tree
   std::vector<int> parent(static_cast<std::size_t>(consumers), -1);
   std::map<int, int> leader_on_node;
   std::vector<int> leaders;
@@ -93,12 +92,14 @@ std::vector<int> node_aware_parents(const std::vector<int>& consumer_node) {
 
 std::shared_ptr<const Channel::Shape> Channel::make_shape(
     const mpi::Machine& machine, const mpi::Comm& parent,
-    const std::vector<std::int8_t>& roles, bool node_aware_term,
+    const std::vector<std::int8_t>& roles, const ChannelConfig& config,
     std::uint64_t context) {
   auto shape = std::make_shared<Shape>();
   shape->parent = parent;
   shape->roles = roles;
-  shape->node_aware_term = node_aware_term;
+  shape->node_aware_term = config.node_aware_term;
+  shape->resilient = config.resilient();
+  shape->initially_inactive = config.initially_inactive_consumers;
   const int size = parent.size();
   std::vector<int> members;  // world ranks: producers first, then consumers
   for (const std::int8_t role : {std::int8_t{1}, std::int8_t{2}})
@@ -111,16 +112,66 @@ std::shared_ptr<const Channel::Shape> Channel::make_shape(
   if (shape->producers == 0 || shape->consumers == 0)
     throw std::invalid_argument(
         "Channel::create: need at least one producer and one consumer");
+  const auto consumers = static_cast<std::size_t>(shape->consumers);
   // Where each consumer lives (the machine's node structure is the same on
-  // every rank), and the term tree shaped from it when asked.
+  // every rank).
   const int per_node = machine.config().network.ranks_per_node;
-  shape->consumer_node.reserve(static_cast<std::size_t>(shape->consumers));
+  shape->consumer_node.reserve(consumers);
   for (std::size_t i = static_cast<std::size_t>(shape->producers);
        i < members.size(); ++i)
     shape->consumer_node.push_back(per_node > 0 ? members[i] / per_node
                                                 : members[i]);
-  if (node_aware_term)
-    shape->term_parent = node_aware_parents(shape->consumer_node);
+
+  // The term tree: parents from the node structure or the flat heap, then
+  // everything the protocol asks of the tree derived from them once.
+  std::vector<int>& up = shape->term_parent;
+  if (config.node_aware_term) {
+    up = node_aware_parents(shape->consumer_node);
+  } else {
+    up.resize(consumers);
+    for (std::size_t c = 0; c < consumers; ++c)
+      up[c] = c == 0 ? -1 : static_cast<int>((c - 1) / 2);
+  }
+  const auto parent_of = [&](std::size_t c) {
+    return static_cast<std::size_t>(up[c]);
+  };
+  // Children as compressed rows; scanning c upward fills each row in
+  // ascending order.
+  std::vector<int>& begin = shape->term_child_begin;
+  std::vector<int>& children = shape->term_children;
+  begin.assign(consumers + 1, 0);
+  for (std::size_t c = 1; c < consumers; ++c) ++begin[parent_of(c) + 1];
+  for (std::size_t c = 0; c < consumers; ++c) begin[c + 1] += begin[c];
+  children.resize(consumers - 1);
+  std::vector<int> next(begin.begin(), begin.end() - 1);
+  for (std::size_t c = 1; c < consumers; ++c)
+    children[static_cast<std::size_t>(next[parent_of(c)]++)] =
+        static_cast<int>(c);
+  // Subtree sizes bottom-up, then preorder numbers and depths top-down:
+  // parent < child, so one pass each way sees every parent settled first.
+  std::vector<int> subtree(consumers, 1);
+  for (std::size_t c = consumers - 1; c > 0; --c)
+    subtree[parent_of(c)] += subtree[c];
+  std::vector<int> depth(consumers, 0);
+  std::vector<Preorder>& order = shape->term_order;
+  order.resize(consumers);
+  for (std::size_t p = 0; p < consumers; ++p) {
+    order[p].exit = order[p].enter + subtree[p];
+    int enter = order[p].enter + 1;
+    for (int i = begin[p]; i < begin[p + 1]; ++i) {
+      const auto child = static_cast<std::size_t>(
+          children[static_cast<std::size_t>(i)]);
+      order[child].enter = enter;
+      enter += subtree[child];
+      depth[child] = depth[p] + 1;
+      shape->term_depth = std::max(shape->term_depth, depth[child]);
+    }
+  }
+
+  shape->ledger = resilience::MembershipLedger(shape->consumers);
+  if (shape->resilient)
+    for (const int c : shape->initially_inactive)
+      shape->ledger.set_active(c, false);
   shape->comm = mpi::Comm(context, mpi::Group(std::move(members)));
   return shape;
 }
@@ -128,48 +179,47 @@ std::shared_ptr<const Channel::Shape> Channel::make_shape(
 Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
                        const std::vector<std::int8_t>& roles,
                        ChannelConfig config) {
+  if (config.resilient()) {
+    const auto consumers =
+        std::count(roles.begin(), roles.end(), std::int8_t{2});
+    for (const int c : config.initially_inactive_consumers)
+      if (c < 0 || c >= consumers)
+        throw std::invalid_argument(
+            "Channel: initially_inactive_consumers slot outside the "
+            "consumer group");
+  }
   const std::uint64_t ctx = mpi::Machine::derive_context(
       parent.context(), 0xC4A77E1ull, config.channel_id);
   mpi::Machine& machine = self.machine();
-  const bool node_aware = config.node_aware_term;
-  // A hit needs the same role vector over the same parent members: a
-  // channel id reused (back-to-back pipelines, a retry over other
-  // survivors) derives the same context with a different shape.
+  // A hit needs the same role vector over the same parent members and the
+  // same shape-defining config: a channel id reused (back-to-back
+  // pipelines, a retry over other survivors) derives the same context with
+  // a different shape. A live hit shares its ledger; once the last handle
+  // of a channel is gone, the next build starts a fresh one.
   auto shape = machine.intern<Shape>(
       ctx,
       [&](const Shape& s) {
-        return s.node_aware_term == node_aware && s.roles == roles &&
+        return s.node_aware_term == config.node_aware_term &&
+               s.resilient == config.resilient() &&
+               s.initially_inactive == config.initially_inactive_consumers &&
+               s.roles == roles &&
                (&s.parent.group() == &parent.group() ||
                 s.parent.group() == parent.group());
       },
-      [&] { return make_shape(machine, parent, roles, node_aware, ctx); });
+      [&] { return make_shape(machine, parent, roles, config, ctx); });
 
   Channel ch;
   ch.config_ = std::move(config);
   ch.producer_count_ = shape->producers;
   ch.consumer_count_ = shape->consumers;
   // Non-members keep an invalid comm -> inert handle.
-  if (shape->comm.rank_of_world(self.world_rank()) >= 0) {
-    ch.comm_ = shape->comm;
-    if (ch.config_.resilient()) {
-      // Every member of the same channel fetches the same machine-hosted
-      // ledger; deactivations are idempotent, so concurrent builders agree.
-      ch.ledger_ = machine.membership_ledger(ctx, ch.consumer_count_);
-      for (const int c : ch.config_.initially_inactive_consumers) {
-        if (c < 0 || c >= ch.consumer_count_)
-          throw std::invalid_argument(
-              "Channel: initially_inactive_consumers slot outside the "
-              "consumer group");
-        ch.ledger_->set_active(c, false);
-      }
-    }
-  }
+  if (shape->comm.rank_of_world(self.world_rank()) >= 0) ch.comm_ = shape->comm;
   ch.shape_ = std::move(shape);
   return ch;
 }
 
 void Channel::retire_consumer(mpi::Rank& self, int c) const {
-  if (!ledger_)
+  if (!config_.resilient())
     throw std::logic_error(
         "Channel::retire_consumer: elastic membership needs a resilient "
         "channel (checkpoint_interval > 0)");
@@ -181,21 +231,21 @@ void Channel::retire_consumer(mpi::Rank& self, int c) const {
     throw std::logic_error(
         "Channel::retire_consumer: cannot retire the effective aggregator "
         "(retire another slot, or crash it and let re-election run)");
-  ledger_->set_active(c, false);
+  shape_->ledger.set_active(c, false);
 }
 
 void Channel::admit_consumer(mpi::Rank& self, int c) const {
-  if (!ledger_)
+  if (!config_.resilient())
     throw std::logic_error(
         "Channel::admit_consumer: elastic membership needs a resilient "
         "channel (checkpoint_interval > 0)");
   if (c < 0 || c >= consumer_count_)
     throw std::invalid_argument("Channel::admit_consumer: no such slot");
-  const int world = comm_.world_rank(consumer_rank(c));
+  const int world = shape_->comm.world_rank(consumer_rank(c));
   if (self.machine().rank_failed(world))
     throw std::logic_error(
         "Channel::admit_consumer: slot's rank is crashed — restart it first");
-  ledger_->set_active(c, true);
+  shape_->ledger.set_active(c, true);
 }
 
 void Channel::free(mpi::Rank& self) {
@@ -238,45 +288,11 @@ int Channel::route(int producer, std::uint64_t seq) const noexcept {
   return block_route(producer, producer_count_, consumer_count_);
 }
 
-std::vector<int> Channel::term_children(int consumer) const {
-  std::vector<int> children;
-  if (node_aware_term()) {
-    // Parents always precede children, so scanning above `consumer` is
-    // exhaustive. O(C), but only on the termination path.
-    for (int c = consumer + 1; c < consumer_count_; ++c)
-      if (shape_->term_parent[static_cast<std::size_t>(c)] == consumer)
-        children.push_back(c);
-    return children;
-  }
-  for (int k = 1; k <= 2; ++k) {
-    const int child = 2 * consumer + k;
-    if (child < consumer_count_) children.push_back(child);
-  }
-  return children;
-}
-
-int Channel::term_tree_depth() const noexcept {
-  if (node_aware_term()) {
-    int max_depth = 0;
-    for (int leaf = 1; leaf < consumer_count_; ++leaf) {
-      int depth = 0;
-      for (int c = leaf; c > 0; c = term_parent_of(c)) ++depth;
-      max_depth = std::max(max_depth, depth);
-    }
-    return max_depth;
-  }
-  int depth = 0;
-  for (int c = consumer_count_ - 1; c > 0; c = term_parent(c)) ++depth;
-  return depth;
-}
-
 int Channel::term_cross_node_edges() const noexcept {
   if (!shape_) return 0;
   int edges = 0;
-  for (int c = 1; c < consumer_count_; ++c) {
-    const int parent = term_parent_of(c);
-    if (parent >= 0 && consumer_node(c) != consumer_node(parent)) ++edges;
-  }
+  for (int c = 1; c < consumer_count_; ++c)
+    if (consumer_node(c) != consumer_node(term_parent_of(c))) ++edges;
   return edges;
 }
 

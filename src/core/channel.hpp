@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -114,7 +115,7 @@ struct ChannelConfig {
   /// Durability-acknowledgment mode for resilient streams: false = automatic
   /// at epoch boundaries (processing counts as durable); true = the consumer
   /// application calls Stream::ack_durable once its external effects are
-  /// safe. See resilience::ResilienceOptions.
+  /// safe. See decouple::Pipeline::with_resilience.
   bool manual_durability = false;
 
   /// Node-aware termination aggregation: shape the term tree from the
@@ -130,7 +131,9 @@ struct ChannelConfig {
   /// Consumer slots that start the run deactivated in the membership ledger
   /// (resilient channels only): their flows are served by the deterministic
   /// failover target until Channel::admit_consumer brings them online — the
-  /// elastic scale-up scenario. Ignored on non-resilient channels.
+  /// elastic scale-up scenario. Applied once, when the channel's shape is
+  /// built; a later attach to the live channel finds the ledger as it is.
+  /// Ignored on non-resilient channels.
   std::vector<int> initially_inactive_consumers{};
 
   [[nodiscard]] bool resilient() const noexcept {
@@ -167,9 +170,10 @@ class Channel {
   /// at create time (0 = neither, 1 = producer, 2 = consumer). A respawned
   /// fiber rejoining a live channel cannot re-enter the creation collective
   /// — its peers are long past it — but in every decoupled program the role
-  /// assignment is a pure function of rank, so the restarted rank rebuilds
-  /// an identical handle (same derived context, same membership ledger)
-  /// without touching the fabric.
+  /// assignment is a pure function of rank, so the restarted rank finds the
+  /// live channel's shape (same derived context, same membership ledger)
+  /// without touching the fabric. Once every earlier handle is gone, the
+  /// same call builds a fresh shape with a fresh ledger.
   [[nodiscard]] static Channel attach(
       mpi::Rank& self, const mpi::Comm& parent,
       const std::function<std::int8_t(int)>& role_of, ChannelConfig config = {});
@@ -207,52 +211,51 @@ class Channel {
   // ---- termination routing metadata --------------------------------------
   // Termination is aggregated whatever the mapping: every producer sends one
   // term (carrying its per-consumer element counts) to a designated
-  // aggregator consumer, which fans the collective term down a binary tree
-  // over the consumers — O(P + C) messages total, O(log C) hops on the
-  // aggregation path, where a per-producer broadcast would cost O(P*C).
+  // aggregator consumer, which fans the collective term down a tree over the
+  // consumers — O(P + C) messages total, O(log C) hops on the aggregation
+  // path, where a per-producer broadcast would cost O(P*C). The tree is the
+  // flat binary heap (parent (c-1)/2) or, with node_aware_term, the
+  // node-aware shape; either way the channel's shape holds it as one table
+  // built once per machine: parents, children, preorder intervals, depth.
 
   /// Consumer index that aggregates producer terms (tree root). Holds for
   /// both tree shapes: the node-aware build keeps consumer 0 as the first
   /// leader, so the root never moves.
   [[nodiscard]] static int term_aggregator() noexcept { return 0; }
-  /// Flat-heap tree parent of consumer `c` (-1 for the aggregator). Static
-  /// shape only; channel-aware code should use term_parent_of.
-  [[nodiscard]] static int term_parent(int consumer) noexcept {
-    return consumer <= 0 ? -1 : (consumer - 1) / 2;
-  }
-  /// Tree parent of consumer `c` under this channel's tree shape (node-aware
-  /// when enabled, the flat heap otherwise). Both shapes guarantee
-  /// parent < child, so subtree walks ascend strictly.
+  /// Tree parent of consumer `c` (-1 for the aggregator). Both shapes
+  /// guarantee parent < child.
   [[nodiscard]] int term_parent_of(int consumer) const noexcept {
-    if (node_aware_term())
-      return consumer <= 0
-                 ? -1
-                 : shape_->term_parent[static_cast<std::size_t>(consumer)];
-    return term_parent(consumer);
+    return shape_->term_parent[static_cast<std::size_t>(consumer)];
   }
   /// True when the channel built a node-aware term tree.
   [[nodiscard]] bool node_aware_term() const noexcept {
-    return shape_ && !shape_->term_parent.empty();
+    return shape_ && shape_->node_aware_term;
   }
-  /// Tree children of consumer `c` under this channel's tree shape.
-  [[nodiscard]] std::vector<int> term_children(int consumer) const;
-  /// Flat-heap membership test (static shape only; see term_in_subtree_of).
-  [[nodiscard]] static bool term_in_subtree(int consumer, int root) noexcept {
-    while (consumer > root) consumer = term_parent(consumer);
-    return consumer == root;
+  /// Tree children of consumer `c`, ascending: the order the collective
+  /// term fans out in. Views the shape's table; no allocation.
+  [[nodiscard]] std::span<const int> term_children(
+      int consumer) const noexcept {
+    const auto c = static_cast<std::size_t>(consumer);
+    const auto begin = static_cast<std::size_t>(shape_->term_child_begin[c]);
+    const auto end = static_cast<std::size_t>(shape_->term_child_begin[c + 1]);
+    return std::span<const int>(shape_->term_children)
+        .subspan(begin, end - begin);
   }
   /// True when `consumer` lies in the tree subtree rooted at `root`
-  /// (inclusive) under this channel's tree shape. Used to slice the
-  /// per-consumer counts a collective term carries down to just the
+  /// (inclusive): an interval test on the preorder numbering. Used to slice
+  /// the per-consumer counts a collective term carries down to just the
   /// receiver's subtree.
   [[nodiscard]] bool term_in_subtree_of(int consumer, int root) const noexcept {
-    while (consumer > root) consumer = term_parent_of(consumer);
-    return consumer == root;
+    const Preorder& r = shape_->term_order[static_cast<std::size_t>(root)];
+    const int at = shape_->term_order[static_cast<std::size_t>(consumer)].enter;
+    return r.enter <= at && at < r.exit;
   }
   /// Tree hops from the aggregator to the deepest consumer: the length of
   /// the collective-term critical path. O(log C) for the flat heap;
   /// O(log nodes + 1) node-aware.
-  [[nodiscard]] int term_tree_depth() const noexcept;
+  [[nodiscard]] int term_tree_depth() const noexcept {
+    return shape_ ? shape_->term_depth : 0;
+  }
   /// Tree edges whose endpoint consumers live on different nodes — the
   /// term messages that must cross the fabric. The node-aware shape bounds
   /// this by the leader tree (O(nodes)); the flat heap scatters edges
@@ -270,19 +273,21 @@ class Channel {
   }
 
   // ---- elastic membership (resilient channels) ---------------------------
-  // The ledger is shared machine-wide per channel context: a retire/admit on
-  // any rank is observed by every other rank at its next poll, exactly like
-  // the failure record. Slots, not ranks: a retired slot's rank stays alive.
+  // The ledger lives in the channel's shape, so every handle of the channel
+  // on the machine shares it: a retire/admit on any rank is observed by
+  // every other rank at its next poll, exactly like the failure record.
+  // Slots, not ranks: a retired slot's rank stays alive.
 
-  /// True when consumer slot `c` is active (always true without a ledger —
-  /// non-resilient channels have static membership).
+  /// True when consumer slot `c` is active (always true on non-resilient
+  /// channels — their membership is static).
   [[nodiscard]] bool consumer_active(int c) const noexcept {
-    return !ledger_ || ledger_->is_active(c);
+    return !shape_ || shape_->ledger.is_active(c);
   }
-  /// Monotone membership version (0 without a ledger). Streams cache it and
-  /// rebalance flows when it moves — the elastic analogue of failure_epoch.
+  /// Monotone membership version (always 0 on non-resilient channels).
+  /// Streams cache it and rebalance flows when it moves — the elastic
+  /// analogue of failure_epoch.
   [[nodiscard]] std::uint64_t membership_version() const noexcept {
-    return ledger_ ? ledger_->version : 0;
+    return shape_ ? shape_->ledger.version : 0;
   }
   /// Deactivate consumer slot `c`: its flows rebalance to the deterministic
   /// failover target (voluntary handoff — no replay storm, no data loss).
@@ -293,19 +298,37 @@ class Channel {
   void admit_consumer(mpi::Rank& self, int c) const;
 
  private:
-  /// The read-only part of a channel. Every rank that builds the channel
-  /// derives the same shape from the role vector, so it is interned once
-  /// per machine (Machine::intern, keyed by the channel context) and each
-  /// rank holds a pointer, not a copy.
+  /// Preorder numbering of one term-tree node: its subtree is exactly the
+  /// nodes numbered [enter, exit).
+  struct Preorder {
+    int enter = 0;
+    int exit = 0;
+  };
+
+  /// Everything every member of a channel shares. Each rank that builds the
+  /// channel derives the same shape from the role vector and the config, so
+  /// it is interned once per machine (Machine::intern, keyed by the channel
+  /// context) and each rank holds a pointer, not a copy. Read-only apart
+  /// from the membership ledger.
   struct Shape {
     mpi::Comm parent;                ///< communicator the roles index
     std::vector<std::int8_t> roles;  ///< per parent rank, as exchanged
     bool node_aware_term = false;
+    bool resilient = false;
+    std::vector<int> initially_inactive;  ///< as configured
     int producers = 0;
     int consumers = 0;
     mpi::Comm comm;                  ///< producers, then consumers
     std::vector<int> consumer_node;  ///< node id per consumer
-    std::vector<int> term_parent;    ///< node-aware parents (empty = flat heap)
+    // The term tree (parent < child throughout).
+    std::vector<int> term_parent;       ///< per consumer; -1 at the root
+    std::vector<int> term_child_begin;  ///< offsets into term_children, C + 1
+    std::vector<int> term_children;     ///< children per consumer, ascending
+    std::vector<Preorder> term_order;   ///< preorder interval per consumer
+    int term_depth = 0;
+    /// Active consumer slots, shared by every handle of the channel. Only
+    /// resilient channels ever change it.
+    mutable resilience::MembershipLedger ledger{0};
   };
 
   static Channel build(mpi::Rank& self, const mpi::Comm& parent,
@@ -313,7 +336,7 @@ class Channel {
                        ChannelConfig config);
   static std::shared_ptr<const Shape> make_shape(
       const mpi::Machine& machine, const mpi::Comm& parent,
-      const std::vector<std::int8_t>& roles, bool node_aware_term,
+      const std::vector<std::int8_t>& roles, const ChannelConfig& config,
       std::uint64_t context);
 
   ChannelConfig config_{};
@@ -322,8 +345,6 @@ class Channel {
   int consumer_count_ = 0;
   /// Shared with every rank of the channel (null for default handles).
   std::shared_ptr<const Shape> shape_;
-  /// Shared membership ledger (resilient channels; null otherwise).
-  std::shared_ptr<resilience::MembershipLedger> ledger_;
 };
 
 }  // namespace ds::stream

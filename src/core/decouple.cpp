@@ -386,12 +386,14 @@ Pipeline& Pipeline::with_channel_base(std::uint64_t base) & {
   return *this;
 }
 
-Pipeline& Pipeline::with_resilience(resilience::ResilienceOptions options) & {
-  if (options.checkpoint_interval == 0)
+Pipeline& Pipeline::with_resilience(std::uint32_t checkpoint_interval,
+                                    bool manual_durability) & {
+  if (checkpoint_interval == 0)
     throw std::invalid_argument(
         "Pipeline::with_resilience: checkpoint_interval must be > 0 "
         "(resilience without epochs would retain unboundedly)");
-  resilience_ = options;
+  resilience_interval_ = checkpoint_interval;
+  resilience_manual_durability_ = manual_durability;
   return *this;
 }
 
@@ -400,6 +402,10 @@ int Pipeline::add_slot(std::unique_ptr<StreamBase> stream,
                        StageLink link) {
   if (ran_)
     throw std::logic_error("Pipeline: streams must be declared before run()");
+  if (options.channel.channel_id != 0)
+    throw std::invalid_argument(
+        "Pipeline: the pipeline assigns channel ids; leave "
+        "StreamOptions::channel.channel_id at 0 (see with_channel_base)");
   slots_.push_back(
       Slot{std::move(stream), element_bytes, std::move(options), link});
   return static_cast<int>(slots_.size()) - 1;
@@ -560,23 +566,12 @@ void Pipeline::launch(const RoleFn& role_fn) {
   // creation order on every rank. Rejoining ranks attach instead.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
-    stream::ChannelConfig config;
+    stream::ChannelConfig config = slot.options.channel;
     config.channel_id = channel_base_ + i;
-    config.mapping = slot.options.mapping;
-    config.inject_overhead = slot.options.inject_overhead;
-    config.max_inflight = slot.options.max_inflight;
-    config.ack_interval = slot.options.ack_interval;
-    config.coalesce_budget = slot.options.coalesce_budget;
-    config.flow_autotune = slot.options.flow_autotune;
-    config.checkpoint_interval = slot.options.checkpoint_interval;
-    config.manual_durability = slot.options.manual_durability;
-    config.node_aware_term = slot.options.node_aware_term;
-    config.initially_inactive_consumers =
-        slot.options.initially_inactive_consumers;
-    if (resilience_ && config.checkpoint_interval == 0) {
-      config.checkpoint_interval = resilience_->checkpoint_interval;
+    if (resilience_interval_ > 0 && config.checkpoint_interval == 0) {
+      config.checkpoint_interval = resilience_interval_;
       config.manual_durability =
-          config.manual_durability || resilience_->manual_durability;
+          config.manual_durability || resilience_manual_durability_;
     }
     const bool to_helpers = slot.options.direction == Direction::ToHelpers;
     const auto role_of = [&](int r) -> std::int8_t {

@@ -59,8 +59,6 @@
 #include "core/group_plan.hpp"
 #include "core/stream.hpp"
 #include "mpi/comm.hpp"
-#include "resilience/options.hpp"
-#include "util/time.hpp"
 
 namespace ds::mpi {
 class Rank;
@@ -84,60 +82,16 @@ using RolePredicate = std::function<bool(int parent_rank)>;
 
 struct StreamOptions {
   Direction direction = Direction::ToHelpers;
-  Mapping mapping = Mapping::Block;
-  /// Per-element injection overhead `o` (paper Eq. 4).
-  util::SimTime inject_overhead = stream::ChannelConfig{}.inject_overhead;
-  /// Facade-level backpressure: the maximum number of elements a producer
-  /// may have in flight (sent but not yet consumed). Every send beyond the
-  /// window blocks until the consumer returns a credit on the stream's ack
-  /// context. 0 (default) disables flow control. Consumers of a throttled
-  /// stream must consume every element (operate to exhaustion), or the
-  /// producer stays blocked once the window fills.
-  std::uint32_t max_inflight = 0;
-  /// Credit batching for flow-controlled streams: the consumer returns
-  /// credits every `ack_interval`-th element per producer (one ack message
-  /// carrying the batch) instead of per element, and flushes the remainder
-  /// on termination/exhaustion so the window never stalls on the tail.
-  /// For liveness the effective batch is clamped to
-  /// ceil(max_inflight / spread), where spread is the number of consumers
-  /// a producer can route to (1 under Block, whose producers send only to
-  /// their peer, the consumer count under RoundRobin/Directed). 0 (default) picks the library default
-  /// (stream::ChannelConfig::kDefaultAckInterval). Ignored without
-  /// max_inflight.
-  std::uint32_t ack_interval = 0;
-  /// Transport-level element coalescing (see ChannelConfig::coalesce_budget):
-  /// same-instant, same-destination elements pack into one framed fabric
-  /// message of up to this many wire bytes; a same-instant backstop flush
-  /// keeps virtual-time semantics element-exact. 0 sends one element per
-  /// frame (one fabric message per element). Defaults to the library
-  /// default budget.
-  std::uint32_t coalesce_budget = stream::ChannelConfig{}.coalesce_budget;
-  /// Self-tuning flow control: drive the coalesce budget (and, when
-  /// ack_interval is 0, the consumer's credit batch; and, when max_inflight
-  /// is set, the effective credit window — grown on credit stalls, never
-  /// shrunk below the configured value) online from the frame occupancy /
-  /// inter-arrival signals. Pin the knobs and set this false for fully
-  /// static behavior.
-  bool flow_autotune = true;
-  /// Stream epochs / consumer failover (see ChannelConfig::
-  /// checkpoint_interval and README "Resilience"): elements per epoch on
-  /// each flow; 0 disables resilience for this stream unless the pipeline
-  /// sets a default via Pipeline::with_resilience.
-  std::uint32_t checkpoint_interval = 0;
-  /// Durability-ack mode for resilient streams (see
-  /// resilience::ResilienceOptions::manual_durability).
-  bool manual_durability = false;
-  /// Node-aware termination aggregation: shape the term tree from the
-  /// machine's node structure so cross-node term messages scale with the
-  /// node count instead of the consumer count (see
-  /// ChannelConfig::node_aware_term). Off by default — the flat heap tree
-  /// is kept bit-for-bit.
-  bool node_aware_term = false;
-  /// Elastic membership (resilient streams only): consumer slots that start
-  /// deactivated in the shared membership ledger. Their traffic routes to
-  /// failover targets until Stream/Channel admit_consumer brings them in
-  /// (see ChannelConfig::initially_inactive_consumers).
-  std::vector<int> initially_inactive_consumers;
+  /// The stream's channel: mapping, injection overhead, backpressure
+  /// (max_inflight, ack_interval), coalescing, self-tuning, resilience
+  /// (checkpoint_interval, manual_durability, initially_inactive_consumers)
+  /// and the term-tree shape, exactly as stream::ChannelConfig documents
+  /// them. Two things are the pipeline's:
+  ///  * channel ids — channel.channel_id must stay 0; the pipeline numbers
+  ///    its channels from the base set by Pipeline::with_channel_base;
+  ///  * resilience defaults — a stream left at checkpoint_interval 0 takes
+  ///    the pipeline's Pipeline::with_resilience settings, if any.
+  stream::ChannelConfig channel;
   /// Endpoint overrides for streams that do not follow the worker/helper
   /// split (e.g. a reduce group's internal master stream); when set, they
   /// replace the direction-derived groups.
@@ -639,13 +593,29 @@ class Pipeline {
     return std::move(with_channel_base(base));
   }
   /// Resilience defaults for every stream of this pipeline: stream epochs,
-  /// bounded replay, and consumer failover (see README "Resilience"). A
-  /// stream whose StreamOptions sets checkpoint_interval explicitly keeps
-  /// its own value; manual_durability likewise composes per stream (a
-  /// stream-level `true` is never overridden).
-  Pipeline& with_resilience(resilience::ResilienceOptions options = {}) &;
-  Pipeline&& with_resilience(resilience::ResilienceOptions options = {}) && {
-    return std::move(with_resilience(options));
+  /// bounded replay, and consumer failover (see README "Resilience").
+  ///  * `checkpoint_interval` — elements per epoch on each flow: producers
+  ///    cut an epoch marker every `checkpoint_interval` elements and retain
+  ///    unacknowledged frames for replay, which bounds the replay window
+  ///    (and, with automatic durability, the retained memory) per flow.
+  ///    Must be > 0: resilience without epochs would retain unboundedly.
+  ///  * `manual_durability` — when false, consumers acknowledge durability
+  ///    automatically at every epoch boundary ("processed by the operator"
+  ///    counts as durable), which fits in-memory consumers such as reduce
+  ///    stages. Set true for consumers with external effects (file
+  ///    writers): the application calls StreamBase::ack_durable once its
+  ///    effects are safe (e.g. after a file flush), and replay after a
+  ///    crash covers exactly the elements whose effects died with the
+  ///    consumer.
+  /// A stream whose options set channel.checkpoint_interval keeps its own
+  /// settings. Every other stream takes this interval, and its own
+  /// manual_durability is ORed with this one (a stream-level `true` is
+  /// never overridden).
+  Pipeline& with_resilience(std::uint32_t checkpoint_interval = 1024,
+                            bool manual_durability = false) &;
+  Pipeline&& with_resilience(std::uint32_t checkpoint_interval = 1024,
+                             bool manual_durability = false) && {
+    return std::move(with_resilience(checkpoint_interval, manual_durability));
   }
 
   // ---- stream declaration ----
@@ -751,7 +721,9 @@ class Pipeline {
   bool want_worker_comm_ = false;
   bool ran_ = false;
   std::uint64_t channel_base_ = 0;
-  std::optional<resilience::ResilienceOptions> resilience_;
+  /// with_resilience defaults (interval 0: none declared).
+  std::uint32_t resilience_interval_ = 0;
+  bool resilience_manual_durability_ = false;
   mpi::Comm worker_comm_{};
   std::vector<Slot> slots_;
 };

@@ -221,13 +221,6 @@ void Machine::restart_rank(int world_rank) {
   failure_waiters_.clear();
 }
 
-std::shared_ptr<resilience::MembershipLedger> Machine::membership_ledger(
-    std::uint64_t context, int consumer_slots) {
-  auto& slot = ledgers_[context];
-  if (!slot) slot = std::make_shared<resilience::MembershipLedger>(consumer_slots);
-  return slot;
-}
-
 std::shared_ptr<resilience::Agreement> Machine::agreement(std::uint64_t key,
                                                           int size) {
   auto& slot = agreements_[key];

@@ -2,12 +2,15 @@
 //
 // Elastic membership needs one piece of state that every rank observes
 // consistently: which consumer slots of a channel are currently active. The
-// machine hosts one ledger per channel context (Machine::membership_ledger),
-// playing the same role its failure record plays for crashes — a globally
-// visible membership oracle that protocol code polls at its next interaction
-// instead of learning about via extra messages. In a real deployment this is
-// the membership service / coordination plane; in the simulator it is a
-// shared object guarded by the single-threaded engine.
+// ledger lives in the channel's interned shape (stream::Channel), which every
+// handle of the channel on the machine shares, so it plays the same role the
+// machine's failure record plays for crashes — a globally visible membership
+// oracle that protocol code polls at its next interaction instead of
+// learning about via extra messages. It is born with the shape (all slots
+// active, then the configured initially-inactive slots retired) and dies
+// with the channel's last handle. In a real deployment this is the
+// membership service / coordination plane; in the simulator it is a shared
+// object guarded by the single-threaded engine.
 //
 // Slots, not ranks: a retired slot's *rank* stays alive (it may serve other
 // channels); only its claim on this channel's flows is released. The version

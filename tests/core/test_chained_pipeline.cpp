@@ -166,7 +166,7 @@ TEST(ChainedPipeline, DirectedLinkTerminatesThroughAggregationTree) {
   std::uint64_t max_consumer_terms = 0;
   testing::run_program(testing::tiny_machine(1 + kConsumers), [&](Rank& self) {
     StreamOptions directed;
-    directed.mapping = Mapping::Directed;
+    directed.channel.mapping = Mapping::Directed;
     auto pipeline = Pipeline::over(self, self.world());
     const auto head = pipeline.stage(std::vector<int>{0});
     const auto fan = pipeline.stage([](int r) { return r > 0; });
@@ -199,7 +199,7 @@ TEST(ChainedPipeline, MaxInflightBackpressuresThroughTheFacade) {
   util::SimTime producer_done = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     StreamOptions throttled;
-    throttled.max_inflight = 2;
+    throttled.channel.max_inflight = 2;
     auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
     const auto flow = pipeline.stream<std::int32_t>(0, throttled);
     pipeline.run(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
@@ -181,20 +183,91 @@ TEST(Channel, TermTreeMetadataFormsConsistentBinaryTree) {
     const int consumers = ch.consumer_count();
     ASSERT_EQ(consumers, 9);
     EXPECT_EQ(Channel::term_aggregator(), 0);
-    EXPECT_EQ(Channel::term_parent(Channel::term_aggregator()), -1);
+    EXPECT_EQ(ch.term_parent_of(Channel::term_aggregator()), -1);
     std::vector<int> reached(static_cast<std::size_t>(consumers), 0);
     reached[0] = 1;
     for (int c = 0; c < consumers; ++c) {
       const auto children = ch.term_children(c);
       EXPECT_LE(children.size(), 2u);
       for (const int child : children) {
-        EXPECT_EQ(Channel::term_parent(child), c);
+        EXPECT_EQ(ch.term_parent_of(child), c);
         ++reached[static_cast<std::size_t>(child)];
       }
     }
     for (const int r : reached) EXPECT_EQ(r, 1);  // spanning, no duplicates
     EXPECT_LE(ch.term_tree_depth(), 4);  // ceil(log2(9 + 1))
   });
+}
+
+TEST(Channel, TermTreeTableMatchesAParentWalk) {
+  // The shape's term-tree table (children rows, preorder intervals, depth)
+  // must say exactly what walking term_parent_of says, for both tree
+  // shapes, every consumer count up to 70 and several node sizes. One
+  // producer (world rank 0) feeds consumers on world ranks 1..C.
+  constexpr int kMaxConsumers = 70;
+  for (const int per_node : {0, 1, 2, 3, 32}) {
+    auto config = testing::tiny_machine(kMaxConsumers + 1);
+    config.network.ranks_per_node = per_node;
+    testing::run_program(config, [&](Rank& self) {
+      const int me = self.world_rank();
+      for (int consumers = 1; consumers <= kMaxConsumers; ++consumers) {
+        std::vector<std::vector<int>> shapes;  // parents, flat then aware
+        for (const bool aware : {false, true}) {
+          ChannelConfig cfg;
+          cfg.channel_id = static_cast<std::uint64_t>(consumers);
+          cfg.node_aware_term = aware;
+          const Channel ch = Channel::create(self, self.world(), me == 0,
+                                             me >= 1 && me <= consumers, cfg);
+          if (me != 0) continue;
+          ASSERT_EQ(ch.consumer_count(), consumers);
+          EXPECT_EQ(ch.node_aware_term(), aware);
+          const auto at = [](int c) { return static_cast<std::size_t>(c); };
+          std::vector<int> parent(at(consumers));
+          std::vector<int> depth(at(consumers), 0);
+          for (int c = 0; c < consumers; ++c) {
+            parent[at(c)] = ch.term_parent_of(c);
+            if (c == 0) {
+              EXPECT_EQ(parent[0], -1);
+              continue;
+            }
+            ASSERT_GE(parent[at(c)], 0);
+            ASSERT_LT(parent[at(c)], c);
+            if (!aware) {
+              EXPECT_EQ(parent[at(c)], (c - 1) / 2);
+            }
+            depth[at(c)] = depth[at(parent[at(c)])] + 1;
+          }
+          // Children: brute force over the parents, ascending.
+          for (int c = 0; c < consumers; ++c) {
+            std::vector<int> expected;
+            for (int d = c + 1; d < consumers; ++d)
+              if (parent[at(d)] == c) expected.push_back(d);
+            const auto got = ch.term_children(c);
+            EXPECT_EQ(std::vector<int>(got.begin(), got.end()), expected)
+                << "C=" << consumers << " per_node=" << per_node
+                << " aware=" << aware << " consumer " << c;
+          }
+          // Subtree membership: walk each consumer up to the root.
+          for (int x = 0; x < consumers; ++x)
+            for (int root = 0; root < consumers; ++root) {
+              int walk = x;
+              while (walk > root) walk = parent[at(walk)];
+              EXPECT_EQ(ch.term_in_subtree_of(x, root), walk == root)
+                  << "C=" << consumers << " per_node=" << per_node
+                  << " aware=" << aware << " x=" << x << " root=" << root;
+            }
+          EXPECT_EQ(ch.term_tree_depth(),
+                    *std::max_element(depth.begin(), depth.end()));
+          shapes.push_back(std::move(parent));
+        }
+        // One rank per node: every consumer leads its own node, so the
+        // leaders' heap is the flat heap.
+        if (me == 0 && per_node <= 1) {
+          EXPECT_EQ(shapes[1], shapes[0]);
+        }
+      }
+    });
+  }
 }
 
 TEST(Channel, NodeAwareTermTreeKeepsCrossNodeEdgesAtLeaderCount) {
@@ -250,7 +323,7 @@ TEST(Channel, NodeAwareTermDefaultsOffAndFlatOnOneNode) {
     if (off.valid()) {
       EXPECT_FALSE(off.node_aware_term());
       for (int c = 0; c < off.consumer_count(); ++c)
-        EXPECT_EQ(off.term_parent_of(c), Channel::term_parent(c));
+        EXPECT_EQ(off.term_parent_of(c), c == 0 ? -1 : (c - 1) / 2);
     }
     // With every consumer on one node (default 32 ranks/node) the aware
     // tree has no fabric edges at all.
@@ -366,6 +439,98 @@ TEST(Channel, ReusedIdWithOtherRolesBuildsItsOwnShape) {
   });
   for (const int s : sizes) EXPECT_EQ(s, 62);
   EXPECT_EQ(consumed, 6u * 3u);
+}
+
+TEST(Channel, FreedChannelLeavesNoRetiredSlotToTheNextWithItsId) {
+  // The membership ledger lives in the channel's shape and dies with the
+  // channel's last handle: a later channel with the same id and roles
+  // starts with every slot active and its version at zero.
+  constexpr int kP = 8;  // producers 0-5, consumers 6-7
+  std::vector<int> retired_seen(kP, -1);
+  std::vector<int> active(kP, -1);
+  std::vector<std::uint64_t> version(kP, 99);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const int me = self.world_rank();
+    ChannelConfig config;
+    config.channel_id = 5;
+    config.checkpoint_interval = 8;
+    {
+      Channel a = Channel::create(self, self.world(), me < 6, me >= 6, config);
+      if (me == 0) a.retire_consumer(self, 1);
+      a.free(self);  // collective: every rank now sees the retirement
+      retired_seen[static_cast<std::size_t>(me)] = a.consumer_active(1) ? 0 : 1;
+    }
+    const Channel b =
+        Channel::create(self, self.world(), me < 6, me >= 6, config);
+    active[static_cast<std::size_t>(me)] = b.consumer_active(1) ? 1 : 0;
+    version[static_cast<std::size_t>(me)] = b.membership_version();
+  });
+  for (int r = 0; r < kP; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(retired_seen[i], 1) << "rank " << r;
+    EXPECT_EQ(active[i], 1) << "rank " << r;
+    EXPECT_EQ(version[i], 0u) << "rank " << r;
+  }
+}
+
+TEST(Channel, WiderChannelReusingAnIdSeesEveryConsumerActive) {
+  // A channel with more consumers than an earlier one with the same id
+  // sizes its own ledger instead of reading past the earlier one.
+  constexpr int kP = 8;
+  std::vector<std::vector<int>> active(kP);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const int me = self.world_rank();
+    ChannelConfig config;
+    config.channel_id = 5;
+    config.checkpoint_interval = 8;
+    {
+      Channel a = Channel::create(self, self.world(), me < 6, me >= 6, config);
+      if (me == 0) a.retire_consumer(self, 1);
+      a.free(self);
+    }
+    const Channel wide =
+        Channel::create(self, self.world(), me < 2, me >= 2, config);
+    for (int c = 0; c < wide.consumer_count(); ++c)
+      active[static_cast<std::size_t>(me)].push_back(
+          wide.consumer_active(c) ? 1 : 0);
+  });
+  for (int r = 0; r < kP; ++r)
+    EXPECT_EQ(active[static_cast<std::size_t>(r)], std::vector<int>(6, 1))
+        << "rank " << r;
+}
+
+TEST(Channel, ReattachKeepsASlotAdmittedSinceCreation) {
+  // initially_inactive_consumers applies once, when the shape is built: a
+  // rank re-attaching to the live channel (the restart path) finds the
+  // ledger as it stands and must not undo an admission made since.
+  constexpr int kP = 4;  // producers 0-1, consumers 2-3
+  std::vector<int> active(kP, -1);
+  std::vector<std::uint64_t> version(kP, 99);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const int me = self.world_rank();
+    ChannelConfig config;
+    config.checkpoint_interval = 8;
+    config.initially_inactive_consumers = {1};
+    const Channel ch =
+        Channel::create(self, self.world(), me < 2, me >= 2, config);
+    EXPECT_FALSE(ch.consumer_active(1));
+    (void)self.barrier(self.world());
+    if (me == 0) ch.admit_consumer(self, 1);
+    (void)self.barrier(self.world());
+    if (me >= 2) {
+      const Channel again = Channel::attach(
+          self, self.world(),
+          [](int r) { return static_cast<std::int8_t>(r < 2 ? 1 : 2); },
+          config);
+      active[static_cast<std::size_t>(me)] = again.consumer_active(1) ? 1 : 0;
+      version[static_cast<std::size_t>(me)] = again.membership_version();
+    }
+  });
+  for (int r = 2; r < kP; ++r) {
+    EXPECT_EQ(active[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    // One bump for the initial deactivation, one for the admission.
+    EXPECT_EQ(version[static_cast<std::size_t>(r)], 2u) << "rank " << r;
+  }
 }
 
 }  // namespace

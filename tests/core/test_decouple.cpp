@@ -98,7 +98,7 @@ TEST(Pipeline, DirectedStreamsAndModeledBodies) {
   std::vector<std::uint64_t> per_helper(2, 0);
   testing::run_program(testing::tiny_machine(6), [&](Rank& self) {
     StreamOptions options;
-    options.mapping = Mapping::Directed;
+    options.channel.mapping = Mapping::Directed;
     auto pipeline = Pipeline::over(self, self.world()).with_stride(3);
     auto notes = pipeline.stream<Note>(64 * sizeof(double), options);
     pipeline.run(
@@ -270,7 +270,7 @@ TEST(Pipeline, ConsumersLeavingEarlyLeaveNoTermUnmatched) {
   machine.run([&](Rank& self) {
     StreamOptions back_options;
     back_options.direction = Direction::ToWorkers;
-    back_options.mapping = Mapping::Directed;
+    back_options.channel.mapping = Mapping::Directed;
     auto pipeline = Pipeline::over(self, self.world()).with_stride(4);
     auto outflow = pipeline.stream<Sample>();
     auto backflow = pipeline.stream<Sample>(0, back_options);
@@ -395,6 +395,76 @@ TEST(Pipeline, MisuseIsRejected) {
       EXPECT_THROW((void)pipeline.raw_stream(8), std::logic_error);
       EXPECT_THROW(pipeline.run({}, {}), std::logic_error);  // reran
     }
+  });
+}
+
+TEST(Pipeline, StreamOptionsLeaveChannelIdsToThePipeline) {
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
+    StreamOptions options;
+    options.channel.channel_id = 3;
+    EXPECT_THROW((void)pipeline.stream<Sample>(0, options),
+                 std::invalid_argument);
+    EXPECT_THROW((void)pipeline.raw_stream(8, options), std::invalid_argument);
+  });
+}
+
+TEST(Pipeline, WithResilienceComposesWithPerStreamSettings) {
+  // A stream that sets its own checkpoint interval keeps its settings;
+  // every other stream takes the pipeline's interval, and its own manual
+  // durability is ORed with the pipeline's.
+  struct Seen {
+    std::uint32_t interval = 0;
+    bool manual = false;
+  };
+  std::array<Seen, 4> seen{};
+  const auto record = [&](Context& ctx, std::size_t at, StreamBase& s) {
+    if (ctx.parent_rank() == 0)
+      seen[at] = {s.channel().config().checkpoint_interval,
+                  s.channel().config().manual_durability};
+    if (s.is_consumer()) s.operate();
+  };
+  testing::run_program(testing::tiny_machine(4), [&](Rank& self) {
+    {
+      auto pipeline = Pipeline::over(self, self.world())
+                          .with_stride(2)
+                          .with_resilience(64, /*manual_durability=*/true);
+      StreamOptions own;
+      own.channel.checkpoint_interval = 8;
+      const auto kept = pipeline.stream<Sample>(0, own);
+      const auto defaulted = pipeline.stream<Sample>();
+      const auto role = [&](Context& ctx) {
+        record(ctx, 0, ctx[kept]);
+        record(ctx, 1, ctx[defaulted]);
+      };
+      pipeline.run(role, role);
+    }
+    {
+      auto pipeline = Pipeline::over(self, self.world())
+                          .with_stride(2)
+                          .with_resilience(32);
+      StreamOptions manual;
+      manual.channel.manual_durability = true;
+      const auto ored = pipeline.stream<Sample>(0, manual);
+      const auto plain = pipeline.stream<Sample>();
+      const auto role = [&](Context& ctx) {
+        record(ctx, 2, ctx[ored]);
+        record(ctx, 3, ctx[plain]);
+      };
+      pipeline.run(role, role);
+    }
+  });
+  EXPECT_EQ(seen[0].interval, 8u);  // the stream's own interval wins
+  EXPECT_FALSE(seen[0].manual);
+  EXPECT_EQ(seen[1].interval, 64u);
+  EXPECT_TRUE(seen[1].manual);      // the pipeline's true is ORed in
+  EXPECT_EQ(seen[2].interval, 32u);
+  EXPECT_TRUE(seen[2].manual);      // a stream-level true is kept
+  EXPECT_EQ(seen[3].interval, 32u);
+  EXPECT_FALSE(seen[3].manual);
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    auto pipeline = Pipeline::over(self, self.world());
+    EXPECT_THROW((void)pipeline.with_resilience(0), std::invalid_argument);
   });
 }
 
